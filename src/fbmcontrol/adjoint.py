@@ -23,11 +23,11 @@ from .errors import (RegressionError, UnsupportedModelError,
                      UnsupportedRegimeError)
 from .fbm import PathSet, kernel_weights
 from .sde import ControlProcess, CoefficientModel, Linearization, StatePath, \
-    euler_mixed, fundamental_phi, fundamental_psi, linearize
+    euler_mixed, evaluate_along, fundamental_phi, fundamental_psi, linearize
 
 __all__ = [
     "RegressionBasis",
-    "NodeFit",
+    "NodeRegression",
     "AdjointProblem",
     "AdjointEstimate",
     "adjoint_problem",
@@ -54,55 +54,78 @@ class RegressionBasis:
             raise ValueError("basis degree must be >= 1")
 
 
-@dataclass
-class NodeFit:
-    """Frozen per-node regression: centered/scaled powers of X*(t).
+def _basis(x: np.ndarray, center, scale, degree: int) -> np.ndarray:
+    """Powers z^0 .. z^degree of z = (x - center)/scale along a new last axis.
 
-    ``apply`` smooths a new target through the frozen normal-equation solve;
-    ``predict`` evaluates a fitted coefficient vector at new state values
-    (both are what the bump oracle needs to keep the projection frozen).
+    A node with zero spread (e.g. t = 0) gets z = 0, so its regression is the
+    plain mean.  Powers come from repeated products, which are much faster
+    than ``**`` on large batches.
+    """
+    spread = scale > 0
+    z = np.where(spread, x - center, 0.0) / np.where(spread, scale, 1.0)
+    out = np.empty((*z.shape, degree + 1))
+    out[..., 0] = 1.0
+    for i in range(1, degree + 1):
+        out[..., i] = out[..., i - 1] * z
+    return out
+
+
+@dataclass
+class NodeRegression:
+    """Frozen cross-sectional regressions at every non-terminal node at once.
+
+    Node k regresses on centered/scaled powers of X*(t_k); the normal
+    equations of all nodes are solved in one batch.  ``coeffs`` smooths new
+    targets through the frozen equations and ``features`` evaluates the basis
+    at new state values: both are what the bump oracle needs to keep the
+    projection frozen.
     """
 
-    center: float
-    scale: float
-    degree: int
-    solve_matrix: np.ndarray  # (degree+1, n_paths): coeffs = solve_matrix @ y
-    design: np.ndarray        # (n_paths, degree+1)
-    cond: float
+    center: np.ndarray   # (n_fit,)
+    scale: np.ndarray    # (n_fit,)
+    design: np.ndarray   # (n_paths, n_fit, degree+1)
+    gram: np.ndarray     # (n_fit, degree+1, degree+1)
+    gram_r: np.ndarray   # gram plus the trace-scaled ridge
+
+    @classmethod
+    def fit(cls, X: np.ndarray, basis: RegressionBasis) -> "NodeRegression":
+        """Fit on the state columns of X, shape (n_paths, n_fit)."""
+        center = X.mean(axis=0)
+        # exactly 0 where every path is in one state: the rounding in a
+        # batched std must not turn a constant node into a regression
+        scale = np.where(np.ptp(X, axis=0) > 0, X.std(axis=0), 0.0)
+        design = _basis(X, center, scale, basis.degree)
+        gram = np.einsum("pki,pkj->kij", design, design, optimize=True)
+        lam = basis.ridge * np.trace(gram, axis1=1, axis2=2) / (basis.degree + 1)
+        penalized = np.eye(basis.degree + 1)
+        penalized[0, 0] = 0.0  # unpenalized intercept: constants reproduce exactly
+        return cls(center, scale, design, gram, gram + lam[:, None, None] * penalized)
+
+    @property
+    def degree(self) -> int:
+        return self.design.shape[-1] - 1
 
     def coeffs(self, y: np.ndarray) -> np.ndarray:
-        return self.solve_matrix @ y
+        """Coefficients (n_fit, degree+1) for targets y of shape (n_paths, n_fit)."""
+        rhs = np.einsum("pkd,pk->kd", self.design, y)
+        try:
+            return np.linalg.solve(self.gram_r, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise RegressionError("normal equations singular despite ridge") from exc
 
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        return self.design @ self.coeffs(y)
+    def predict(self, c: np.ndarray, features: np.ndarray | None = None) -> np.ndarray:
+        """Values of coefficients c on the design, or on other ``features``."""
+        f = self.design if features is None else features
+        return np.einsum("pkd,kd->pk", f, c)
 
-    def features(self, x: np.ndarray) -> np.ndarray:
-        z = (x - self.center) / self.scale if self.scale > 0 else np.zeros_like(x)
-        return np.vander(z, self.degree + 1, increasing=True)
+    def features(self, x: np.ndarray, nodes: slice) -> np.ndarray:
+        """Basis at new states x, whose columns are the given nodes."""
+        return _basis(x, self.center[nodes], self.scale[nodes], self.degree)
 
-    def predict(self, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self.features(x) @ c
-
-
-def fit_node(x: np.ndarray, basis: RegressionBasis) -> NodeFit:
-    center = float(x.mean())
-    scale = float(x.std())
-    if scale > 0:
-        z = (x - center) / scale
-    else:
-        z = np.zeros_like(x)  # degenerate node (e.g. t = 0): regression = plain mean
-    A = np.vander(z, basis.degree + 1, increasing=True)
-    gram = A.T @ A
-    lam = basis.ridge * np.trace(gram) / gram.shape[0]
-    penalty = lam * np.eye(gram.shape[0])
-    penalty[0, 0] = 0.0  # unpenalized intercept: constants reproduce exactly
-    gram_r = gram + penalty
-    try:
-        solve_matrix = np.linalg.solve(gram_r, A.T)
-    except np.linalg.LinAlgError as exc:
-        raise RegressionError(f"normal equations singular despite ridge {lam:.3e}") from exc
-    cond = float(np.linalg.cond(gram_r))
-    return NodeFit(center, scale, basis.degree, solve_matrix, A, cond)
+    def coeff_cov(self) -> np.ndarray:
+        """Gr^-1 G Gr^-1 per node: coefficient covariance per unit residual variance."""
+        half = np.linalg.solve(self.gram_r, self.gram)
+        return np.linalg.solve(self.gram_r, half.transpose(0, 2, 1))
 
 
 @dataclass
@@ -155,24 +178,16 @@ def adjoint_problem(model: CoefficientModel, u: ControlProcess, x0: float,
     lin = linearize(model, x, u)
     phi = fundamental_phi(lin, paths)
     psi = fundamental_psi(lin, paths)
-    t = paths.grid.nodes
-    n_paths, n_nodes = x.X.shape
-
-    def along(fn):
-        return np.stack([np.broadcast_to(
-            np.asarray(fn(t[k], x.X[:, k], uv[:, k]), dtype=float), (n_paths,))
-            for k in range(n_nodes)], axis=1)
-
-    sigma_vals = np.stack([along(model.sigma[j]) for j in range(model.m)])
-    gamma_vals = np.stack([along(model.gamma[j]) for j in range(model.m)])
+    at = (paths.grid.nodes, x.X, uv)
+    fx, fu = evaluate_along([fx_fn, fu_fn], *at)
     return AdjointProblem(
-        paths=paths, x=x, u_values=uv, lin=lin, phi=phi, psi=psi,
-        fx=along(fx_fn), fu=along(fu_fn),
+        paths=paths, x=x, u_values=uv, lin=lin, phi=phi, psi=psi, fx=fx, fu=fu,
         gx_T=np.asarray(gx_fn(x.X[:, -1]), dtype=float),
-        sigma_vals=sigma_vals, gamma_vals=gamma_vals,
-        fxx=along(fxx_fn) if fxx_fn is not None else None,
-        gxx_T=np.broadcast_to(np.asarray(gxx_fn(x.X[:, -1]), dtype=float),
-                              (n_paths,)).copy() if gxx_fn is not None else None,
+        sigma_vals=evaluate_along(model.sigma, *at),
+        gamma_vals=evaluate_along(model.gamma, *at),
+        fxx=evaluate_along([fxx_fn], *at)[0] if fxx_fn is not None else None,
+        gxx_T=np.full(x.n_paths, gxx_fn(x.X[:, -1]), dtype=float)
+        if gxx_fn is not None else None,
         linear_in_state=model.linear_in_state)
 
 
@@ -191,15 +206,10 @@ class AdjointEstimate:
     grid: object
     p: np.ndarray                 # (n_paths, n_nodes), smoothed
     p_raw: np.ndarray             # unsmoothed targets, same conditional means
-    fits: list                    # NodeFit per node (None at terminal node)
-    p_coeffs: list                # frozen S1 coefficients per node
-    basis: RegressionBasis
+    regression: NodeRegression    # frozen fits of the non-terminal nodes
+    p_coeffs: np.ndarray          # their p coefficients, (n_nodes-1, degree+1)
     q: np.ndarray | None = None   # (m, n_paths, n_nodes)
     q_raw: np.ndarray | None = None
-
-    @property
-    def cond(self) -> np.ndarray:
-        return np.array([f.cond if f is not None else 1.0 for f in self.fits])
 
     def p_mean(self) -> np.ndarray:
         return self.p_raw.mean(axis=0)
@@ -238,22 +248,16 @@ def estimate_p(prob: AdjointProblem, basis: RegressionBasis = RegressionBasis())
     node is imposed exactly as g_x(X*(T)) with no regression.
     """
     grid = prob.paths.grid
-    n_nodes = grid.n_nodes
     payoff = _tail_trapezoid(prob.fx * prob.phi.X, grid.dt) \
         + (prob.gx_T * prob.phi.X[:, -1])[:, None]
     p_raw = prob.psi.X * payoff
     p_raw[:, -1] = prob.gx_T
+    reg = NodeRegression.fit(prob.x.X[:, :-1], basis)
+    coeffs = reg.coeffs(p_raw[:, :-1])
     p = np.empty_like(p_raw)
-    fits: list = [None] * n_nodes
-    coeffs: list = [None] * n_nodes
-    for k in range(n_nodes - 1):
-        fit = fit_node(prob.x.X[:, k], basis)
-        c = fit.coeffs(p_raw[:, k])
-        p[:, k] = fit.design @ c
-        fits[k] = fit
-        coeffs[k] = c
+    p[:, :-1] = reg.predict(coeffs)
     p[:, -1] = prob.gx_T  # terminal condition, exact
-    return AdjointEstimate(grid, p, p_raw, fits, coeffs, basis)
+    return AdjointEstimate(grid, p, p_raw, reg, coeffs)
 
 
 def estimate_q_formula(prob: AdjointProblem, est: AdjointEstimate) -> AdjointEstimate:
@@ -268,7 +272,7 @@ def estimate_q_formula(prob: AdjointProblem, est: AdjointEstimate) -> AdjointEst
         q_j(t) = E^{F_t}[ Psi(t)^2 sigma_j(t) S2(t) ],
         S2 = int_t^T f_xx Phi^2 ds + g_xx(X_T) Phi(T)^2,
 
-    estimated with the same per-node regressions as p.
+    estimated with the same node regressions as p.
     """
     if prob.fxx is None or prob.gxx_T is None:
         raise UnsupportedModelError("q formula needs f_xx and g_xx along the pair")
@@ -277,14 +281,11 @@ def estimate_q_formula(prob: AdjointProblem, est: AdjointEstimate) -> AdjointEst
     s2 = _tail_trapezoid(prob.fxx * prob.phi.X ** 2, grid.dt) \
         + (prob.gxx_T * prob.phi.X[:, -1] ** 2)[:, None]
     psi = prob.psi.X
-    n_nodes = grid.n_nodes
-    m = prob.m
-    q = np.empty((m, *psi.shape))
-    q_raw = np.empty_like(q)
-    for j in range(m):
-        q_raw[j] = psi ** 2 * prob.sigma_vals[j] * s2
-        for k in range(n_nodes - 1):
-            q[j, :, k] = est.fits[k].apply(q_raw[j, :, k])
+    reg = est.regression
+    q_raw = psi ** 2 * prob.sigma_vals * s2
+    q = np.empty_like(q_raw)
+    for j in range(prob.m):
+        q[j, :, :-1] = reg.predict(reg.coeffs(q_raw[j, :, :-1]))
         q[j, :, -1] = q_raw[j, :, -1]
     est.q = q
     est.q_raw = q_raw
@@ -317,9 +318,6 @@ class BumpEstimate:
     q: np.ndarray            # (m, n_paths, n_nodes); NaN at the terminal node
     mean_stderr: np.ndarray  # (m, n_nodes)
 
-    def q_mean(self) -> np.ndarray:
-        return np.nanmean(self.q, axis=1)
-
 
 def estimate_q_bump(prob: AdjointProblem, est: AdjointEstimate,
                     h: float | None = None) -> BumpEstimate:
@@ -338,35 +336,31 @@ def estimate_q_bump(prob: AdjointProblem, est: AdjointEstimate,
     grid = paths.grid
     if h is None:
         h = 1e-3 * np.sqrt(grid.dt)
-    W = kernel_weights(grid, paths.hurst)
-    m = prob.m
+    w_diag = np.diagonal(kernel_weights(grid, paths.hurst), offset=-1)  # W[k+1, k]
     n_paths, n_nodes = prob.x.X.shape
-    q = np.full((m, n_paths, n_nodes), np.nan)
-    se = np.full((m, n_nodes), np.nan)
-    for k in range(n_nodes - 1):
-        fit = est.fits[k + 1]
-        if fit is not None:
-            c = est.p_coeffs[k + 1]
-            resid = est.p_raw[:, k + 1] - fit.design @ c
-            cov_c = float(resid @ resid) / max(n_paths - fit.degree - 1, 1) \
-                * (fit.solve_matrix @ fit.solve_matrix.T)
-        for j in range(m):
-            w_diag = W[k + 1, k]
-            dx = h * (prob.sigma_vals[j, :, k] + prob.gamma_vals[j, :, k] * w_diag)
-            x_plus, x_minus = prob.x.X[:, k + 1] + dx, prob.x.X[:, k + 1] - dx
-            if fit is not None:
-                fplus, fminus = fit.features(x_plus), fit.features(x_minus)
-                p_plus, p_minus = fplus @ c, fminus @ c
-                wvec = (fplus - fminus).mean(axis=0) / (2 * h)
-                var_coeff = float(wvec @ cov_c @ wvec)
-            else:
-                # terminal node: p = g_x(X_T); finite-difference g_x directly
-                p_plus = _gx_bumped(prob, x_plus)
-                p_minus = _gx_bumped(prob, x_minus)
-                var_coeff = 0.0
-            q[j, :, k] = (p_plus - p_minus) / (2 * h)
-            var_disp = q[j, :, k].var(ddof=1) / n_paths
-            se[j, k] = np.sqrt(var_coeff + var_disp)
+    reg = est.regression
+    # node k's bump lands on node k+1: regression nodes 1.., then the terminal node
+    c = est.p_coeffs[1:]
+    resid = est.p_raw[:, :-1] - est.p[:, :-1]
+    resid_var = (resid ** 2).sum(axis=0) / max(n_paths - reg.degree - 1, 1)
+    cov_c = (resid_var[:, None, None] * reg.coeff_cov())[1:]
+    q = np.full((prob.m, n_paths, n_nodes), np.nan)
+    se = np.full((prob.m, n_nodes), np.nan)
+    for j in range(prob.m):
+        dx = h * (prob.sigma_vals[j, :, :-1] + prob.gamma_vals[j, :, :-1] * w_diag)
+        x_next = prob.x.X[:, 1:]
+        fplus = reg.features(x_next[:, :-1] + dx[:, :-1], slice(1, None))
+        fminus = reg.features(x_next[:, :-1] - dx[:, :-1], slice(1, None))
+        q[j, :, :-2] = (reg.predict(c, fplus) - reg.predict(c, fminus)) / (2 * h)
+        fplus -= fminus
+        wvec = fplus.mean(axis=0) / (2 * h)
+        var_coeff = np.zeros(n_nodes - 1)
+        var_coeff[:-1] = np.einsum("ki,kij,kj->k", wvec, cov_c, wvec)
+        # terminal node: p = g_x(X_T); finite-difference g_x directly
+        q[j, :, -2] = (_gx_bumped(prob, x_next[:, -1] + dx[:, -1])
+                       - _gx_bumped(prob, x_next[:, -1] - dx[:, -1])) / (2 * h)
+        var_disp = q[j, :, :-1].var(axis=0, ddof=1) / n_paths
+        se[j, :-1] = np.sqrt(var_coeff + var_disp)
     return BumpEstimate(q, se)
 
 
@@ -390,7 +384,6 @@ class ResidualReport:
     mean: np.ndarray
     stderr: np.ndarray
     mean_sq: np.ndarray
-    label: str
 
     def max_abs_z(self) -> float:
         z = np.abs(self.mean) / np.where(self.stderr > 0, self.stderr, np.inf)
@@ -404,12 +397,12 @@ class ResidualReport:
                          f"{self.stderr[k]:.17g},{self.mean_sq[k]:.17g}\n")
 
 
-def _report(t, field: np.ndarray, label: str) -> ResidualReport:
+def _report(t, field: np.ndarray) -> ResidualReport:
     n = field.shape[0]
     return ResidualReport(
         t=np.asarray(t), mean=field.mean(axis=0),
         stderr=field.std(axis=0, ddof=1) / np.sqrt(n),
-        mean_sq=(field ** 2).mean(axis=0), label=label)
+        mean_sq=(field ** 2).mean(axis=0))
 
 
 def constraint_residual_gamma(prob: AdjointProblem, est: AdjointEstimate) -> ResidualReport:
@@ -419,7 +412,7 @@ def constraint_residual_gamma(prob: AdjointProblem, est: AdjointEstimate) -> Res
     control value enters neither the dynamics nor the cost).
     """
     field = (prob.lin.gu[:, :, :-1] * est.p_raw[None, :, :-1]).sum(axis=0)
-    return _report(prob.paths.grid.nodes[:-1], field, "gamma_constraint")
+    return _report(prob.paths.grid.nodes[:-1], field)
 
 
 def stationarity_residual(prob: AdjointProblem, est: AdjointEstimate) -> ResidualReport:
@@ -443,7 +436,7 @@ def stationarity_residual(prob: AdjointProblem, est: AdjointEstimate) -> Residua
     field = prob.lin.bu[:, :-1] * est.p_raw[:, :-1] \
         + (prob.lin.su[:, :, :-1] * est.q_raw[:, :, :-1]).sum(axis=0) \
         + prob.fu[:, :-1]
-    return _report(prob.paths.grid.nodes[:-1], field, "stationarity")
+    return _report(prob.paths.grid.nodes[:-1], field)
 
 
 def bsde_residual(prob: AdjointProblem, est: AdjointEstimate) -> ResidualReport:
@@ -484,4 +477,4 @@ def bsde_residual(prob: AdjointProblem, est: AdjointEstimate) -> ResidualReport:
     return ResidualReport(
         t=grid.nodes[:-1], mean=r_hat.mean(axis=0),
         stderr=r_raw.std(axis=0, ddof=1) / np.sqrt(n),
-        mean_sq=(r_hat ** 2).mean(axis=0), label="bsde")
+        mean_sq=(r_hat ** 2).mean(axis=0))

@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,6 @@ CONFIG_SCHEMA = {
     "R": ("coef", 1.0),
     "G": ("pos_float", 1.0),
     "x0": ("float", 1.0),
-    "basis_degree": ("pos_int", 2),
     "theta": ("unit_float", 0.5),
     "tol": ("pos_float", 1e-3),
     "max_iter": ("pos_int", 50),
@@ -163,30 +161,9 @@ def lq_spec_from_config(cfg: dict) -> LqSpec:
 
 
 def generate_paths(cfg: dict, workers: int = 1) -> PathSet:
-    """Config-driven coupled path bundle; identical for any worker count.
-
-    Workers split the path range into index-defined blocks; every block is
-    produced by its own per-path keyed substreams, so the assembled array is
-    a pure function of the config.
-    """
+    """Config-driven coupled path bundle; identical for any worker count."""
     grid = TimeGrid(cfg["T"], cfg["n_steps"])
-    n_paths, m, seed = cfg["n_paths"], cfg["m"], cfg["seed"]
-    if workers <= 1:
-        bm = generate_bm(grid, m, n_paths, seed)
-    else:
-        from .rng import SubstreamSampler
-        bounds = np.linspace(0, n_paths, workers + 1).astype(int)
-        blocks = [range(bounds[i], bounds[i + 1]) for i in range(workers)]
-
-        def draw(block):
-            return SubstreamSampler(seed).normal_block(block, m, grid.n_steps)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(draw, blocks))
-        dB = np.concatenate(parts, axis=0) * np.sqrt(grid.dt)
-        B = np.zeros((n_paths, m, grid.n_nodes))
-        np.cumsum(dB, axis=-1, out=B[..., 1:])
-        bm = PathSet(grid, m, n_paths, seed, None, dB, B, None)
+    bm = generate_bm(grid, cfg["m"], cfg["n_paths"], cfg["seed"], workers)
     return fbm_from_kernel(bm, Hurst(cfg["hurst"]))
 
 

@@ -16,6 +16,7 @@ oracle, not the kernel generator, anchors high-H covariance tests.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -120,11 +121,6 @@ class PathSet:
     def with_bh(self, hurst: Hurst, bh: np.ndarray) -> "PathSet":
         return PathSet(self.grid, self.m, self.n_paths, self.seed, hurst,
                        self.dB, self.B, bh)
-
-    def increments_bh(self) -> np.ndarray:
-        if self.BH is None:
-            raise GridMismatchError("path set carries no fractional component")
-        return np.diff(self.BH, axis=-1)
 
     def to_csv(self, path) -> None:
         """Write rows `path,dim,node,t,B,BH` for every node."""
@@ -281,17 +277,28 @@ def kernel_weights(grid: TimeGrid, h, order: int = 4) -> np.ndarray:
     return _cached_weights(float(grid.horizon), int(grid.n_steps), _hval(h), order)
 
 
-def generate_bm(grid: TimeGrid, m: int, n_paths: int, seed: int) -> PathSet:
+def generate_bm(grid: TimeGrid, m: int, n_paths: int, seed: int,
+                workers: int = 1) -> PathSet:
     """Independent Brownian paths from per-(path, dim) keyed substreams.
 
     Increments are N(0, dt) per path/dimension/step; the result is a pure
-    function of (seed, grid, m, n_paths), independent of how paths are later
-    partitioned across workers.
+    function of (seed, grid, m, n_paths).  ``workers`` threads draw
+    index-defined blocks of paths, each from its own per-path substreams, so
+    the assembled array is the same for every worker count.
     """
     if m < 1 or n_paths < 1:
         raise ValueError("m and n_paths must be >= 1")
-    sampler = SubstreamSampler(seed)
-    dB = sampler.normal_block(range(n_paths), m, grid.n_steps)
+
+    def draw(block: range) -> np.ndarray:
+        return SubstreamSampler(seed).normal_block(block, m, grid.n_steps)
+
+    if workers <= 1:
+        dB = draw(range(n_paths))
+    else:
+        bounds = np.linspace(0, n_paths, workers + 1).astype(int)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            dB = np.concatenate(list(pool.map(
+                draw, [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])])))
     dB *= np.sqrt(grid.dt)
     B = np.zeros((n_paths, m, grid.n_nodes))
     np.cumsum(dB, axis=-1, out=B[..., 1:])

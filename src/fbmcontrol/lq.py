@@ -96,12 +96,11 @@ class LqScenario:
     m: int
     sigma_driver: int  # index of the Brownian-diffusion driver
     gamma_driver: int  # index of the fractional-diffusion driver
-    label: str
 
 
 def direct_scenario() -> LqScenario:
     """Single driver: the fractional path rides on the same Brownian motion."""
-    return LqScenario(1, 0, 0, "underlying")
+    return LqScenario(1, 0, 0)
 
 
 def independent_bm_scenario() -> LqScenario:
@@ -110,7 +109,7 @@ def independent_bm_scenario() -> LqScenario:
     sigma~ = (0, sigma) and gamma~ = (gamma, 0) over drivers (B, W) with
     coupled (B^H, W^H); every downstream operation runs unchanged on m = 2.
     """
-    return LqScenario(2, 1, 0, "independent")
+    return LqScenario(2, 1, 0)
 
 
 def lq_model(spec: LqSpec, scenario: LqScenario = direct_scenario()) -> CoefficientModel:
@@ -213,12 +212,11 @@ class LqSolution:
     converged: bool
 
     def control_l2_distance(self, other: "LqSolution") -> float:
-        du = self.u.values - other.u.values
-        return float(np.sqrt((du[:, :-1] ** 2).sum(axis=1).mean()
-                             * self.problem.paths.grid.dt))
+        return _mean_l2(self.u.values - other.u.values, self.problem.paths.grid.dt)
 
 
 def _mean_l2(du: np.ndarray, dt: float) -> float:
+    """sqrt of E sum_k du_k^2 dt over the acting nodes (the control L2 norm)."""
     return float(np.sqrt((du[:, :-1] ** 2).sum(axis=1).mean() * dt))
 
 
@@ -278,14 +276,6 @@ class RiccatiSolution:
     P: np.ndarray
     K: np.ndarray
     J: float
-
-    def feedback(self) -> ControlProcess:
-        t, K = self.t, self.K
-        return ControlProcess.from_feedback(
-            lambda ti, x: -np.interp(ti, t, K) * x)
-
-    def P_at(self, ti):
-        return np.interp(ti, self.t, self.P)
 
 
 def riccati_oracle(spec: LqSpec, grid: TimeGrid, n_fine: int = 4096) -> RiccatiSolution:

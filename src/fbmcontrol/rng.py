@@ -46,8 +46,3 @@ class SubstreamSampler:
             for d in range(m):
                 out[row, d] = self.normals(p, d, n)
         return out
-
-
-def standard_normals(seed: int, n_paths: int, m: int, n: int) -> np.ndarray:
-    """All-path normal draws, shape (n_paths, m, n); pure in (seed, n_paths, m, n)."""
-    return SubstreamSampler(seed).normal_block(range(n_paths), m, n)

@@ -10,7 +10,7 @@ first-order expansion experiment live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "Linearization",
     "euler_mixed",
     "linearize",
+    "evaluate_along",
     "fundamental_phi",
     "fundamental_psi",
     "variation_direct",
@@ -43,8 +44,7 @@ class CoefficientModel:
 
     ``sigma``/``gamma`` and their partials are lists with one callable per
     driving dimension; every callable maps (t, x, u) with scalar t and
-    vectorized x, u.  ``lipschitz_bound`` and ``holder_exponent`` record the
-    regularity constants the convergence statements assume.
+    vectorized x, u.
     """
 
     m: int
@@ -57,8 +57,6 @@ class CoefficientModel:
     sigma_u: list
     gamma_x: list
     gamma_u: list
-    lipschitz_bound: float | None = None
-    holder_exponent: float | None = None
     linear_in_state: bool = False
 
     def __post_init__(self):
@@ -151,9 +149,7 @@ class ControlProcess:
                 raise GridMismatchError(
                     f"control shape {self.values.shape} != state shape {x.X.shape}")
             return self.values
-        t = x.grid.nodes
-        return np.stack([self.at(k, t[k], x.X[:, k])
-                         for k in range(x.grid.n_nodes)], axis=1)
+        return evaluate_along([self.feedback], x.grid.nodes, x.X)[0]
 
     def l2_norm_sq_mean(self, grid: TimeGrid, x: "StatePath" = None) -> float:
         """Mean over paths of the left-point sum of u^2 dt (square-integrability)."""
@@ -167,7 +163,6 @@ class StatePath:
 
     grid: TimeGrid
     X: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.X.shape[-1] != self.grid.n_nodes:
@@ -176,14 +171,6 @@ class StatePath:
     @property
     def n_paths(self) -> int:
         return self.X.shape[0]
-
-    def to_csv(self, path) -> None:
-        t = self.grid.nodes
-        with open(path, "w", newline="") as fh:
-            fh.write("path,node,t,X\n")
-            for p in range(self.X.shape[0]):
-                for k in range(self.grid.n_nodes):
-                    fh.write(f"{p},{k},{t[k]:.17g},{self.X[p, k]:.17g}\n")
 
 
 def _blowup_guard(x: np.ndarray, step: int) -> None:
@@ -218,7 +205,7 @@ def euler_mixed(model: CoefficientModel, u: ControlProcess, x0: float,
                       + model.gamma[j](t[k], xk, uk) * dbh[:, j, k]
         X[:, k + 1] = xk + inc
         _blowup_guard(X[:, k + 1], k + 1)
-    return StatePath(grid, X, {"x0": x0, "seed": paths.seed})
+    return StatePath(grid, X)
 
 
 @dataclass(frozen=True)
@@ -238,24 +225,28 @@ class Linearization:
         return self.sx.shape[0]
 
 
+def evaluate_along(fns, t: np.ndarray, *node_values: np.ndarray) -> np.ndarray:
+    """fn(t_k, a[:, k], ...) for each fn and node k, shape (len(fns), n_paths, n_nodes).
+
+    ``node_values`` are (n_paths, n_nodes) arrays such as the state and the
+    control; each fn may return one value per path or a scalar.
+    """
+    out = np.empty((len(fns), *node_values[0].shape))
+    for k, tk in enumerate(t):
+        at_k = [a[:, k] for a in node_values]
+        for i, fn in enumerate(fns):
+            out[i, :, k] = fn(tk, *at_k)
+    return out
+
+
 def linearize(model: CoefficientModel, x: StatePath, u: ControlProcess) -> Linearization:
     """Evaluate all first partials along (X*, u*) at every node."""
-    t = x.grid.nodes
-    uv = u.materialize(x)
-    n_paths, n_nodes = x.X.shape
-
-    def along(fn):
-        return np.stack([np.broadcast_to(
-            np.asarray(fn(t[k], x.X[:, k], uv[:, k]), dtype=float), (n_paths,))
-            for k in range(n_nodes)], axis=1)
-
-    bx = along(model.b_x)
-    bu = along(model.b_u)
-    sx = np.stack([along(model.sigma_x[j]) for j in range(model.m)])
-    su = np.stack([along(model.sigma_u[j]) for j in range(model.m)])
-    gx = np.stack([along(model.gamma_x[j]) for j in range(model.m)])
-    gu = np.stack([along(model.gamma_u[j]) for j in range(model.m)])
-    return Linearization(x.grid, bx, bu, sx, su, gx, gu)
+    at = (x.grid.nodes, x.X, u.materialize(x))
+    bx, bu = evaluate_along([model.b_x, model.b_u], *at)
+    return Linearization(x.grid, bx, bu, evaluate_along(model.sigma_x, *at),
+                         evaluate_along(model.sigma_u, *at),
+                         evaluate_along(model.gamma_x, *at),
+                         evaluate_along(model.gamma_u, *at))
 
 
 def _homogeneous(lin: Linearization, paths: PathSet, sign: float) -> StatePath:
@@ -274,7 +265,7 @@ def _homogeneous(lin: Linearization, paths: PathSet, sign: float) -> StatePath:
                                 + lin.gx[j, :, k] * dbh[:, j, k])
         Y[:, k + 1] = Y[:, k] * fac
         _blowup_guard(Y[:, k + 1], k + 1)
-    return StatePath(grid, Y, {"kind": "phi" if sign > 0 else "psi"})
+    return StatePath(grid, Y)
 
 
 def fundamental_phi(lin: Linearization, paths: PathSet) -> StatePath:
@@ -299,7 +290,7 @@ def variation_direct(lin: Linearization, v: np.ndarray, paths: PathSet) -> State
             inc = inc + (lin.sx[j, :, k] * y[:, k] + lin.su[j, :, k] * v[:, k]) * paths.dB[:, j, k] \
                       + (lin.gx[j, :, k] * y[:, k] + lin.gu[j, :, k] * v[:, k]) * dbh[:, j, k]
         y[:, k + 1] = y[:, k] + inc
-    return StatePath(grid, y, {"kind": "variation_direct"})
+    return StatePath(grid, y)
 
 
 def variation_explicit(phi: StatePath, psi: StatePath, lin: Linearization,
@@ -323,7 +314,7 @@ def variation_explicit(phi: StatePath, psi: StatePath, lin: Linearization,
                     + psi.X[:, :-1] * lin.gu[j, :, :-1] * v[:, :-1] * dbh[:, j, :]
     I = np.zeros((paths.n_paths, grid.n_nodes))
     np.cumsum(incr, axis=1, out=I[:, 1:])
-    return StatePath(grid, phi.X * I, {"kind": "variation_explicit"})
+    return StatePath(grid, phi.X * I)
 
 
 def default_alpha(H: float) -> float:

@@ -16,7 +16,7 @@ from scipy.signal import fftconvolve
 from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, GridMismatchError
-from .fbm import Hurst, PathSet, TimeGrid, kappa_h
+from .fbm import PathSet, TimeGrid, _hval, kappa_h
 
 __all__ = [
     "GridFunction",
@@ -30,10 +30,6 @@ __all__ = [
     "phi_1h",
     "isometry_check",
 ]
-
-
-def _hval(h) -> float:
-    return h.value if isinstance(h, Hurst) else Hurst(float(h)).value
 
 
 @dataclass(frozen=True)
@@ -159,12 +155,6 @@ class TransferReport:
     correlation: float
     var_lhs: float
     var_rhs: float
-    n_paths: int
-
-    def rows(self):
-        return [("transfer_correlation", self.correlation, 0.0),
-                ("transfer_var_lhs", self.var_lhs, self.var_lhs * np.sqrt(2.0 / self.n_paths)),
-                ("transfer_var_rhs", self.var_rhs, self.var_rhs * np.sqrt(2.0 / self.n_paths))]
 
 
 def transfer_check(f: GridFunction, paths: PathSet, dim: int = 0) -> TransferReport:
@@ -187,7 +177,7 @@ def transfer_check(f: GridFunction, paths: PathSet, dim: int = 0) -> TransferRep
         corr = 1.0
     else:
         corr = float(np.corrcoef(lhs, rhs)[0, 1])
-    return TransferReport(corr, float(lhs.var()), float(rhs.var()), paths.n_paths)
+    return TransferReport(corr, float(lhs.var()), float(rhs.var()))
 
 
 def kappa_1(h) -> float:

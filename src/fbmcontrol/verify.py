@@ -197,8 +197,7 @@ def nonlinear_lemma_model():
         gamma=[lambda t, x, u: 0.5 + 0.1 * np.sin(x)],
         b_x=lambda t, x, u: np.cos(x), b_u=one,
         sigma_x=[lambda t, x, u: -np.sin(x)], sigma_u=[zero],
-        gamma_x=[lambda t, x, u: 0.1 * np.cos(x)], gamma_u=[zero],
-        lipschitz_bound=1.0, holder_exponent=1.0)
+        gamma_x=[lambda t, x, u: 0.1 * np.cos(x)], gamma_u=[zero])
 
 
 def lemma1_table_csv(rows, path) -> None:

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from fbmcontrol.adjoint import (adjoint_problem, bsde_residual,
+from fbmcontrol.adjoint import (NodeRegression, RegressionBasis,
+                                adjoint_problem, bsde_residual,
                                 constraint_residual_gamma, estimate_p,
                                 estimate_q_bump, estimate_q_formula,
                                 malliavin_dx, stationarity_residual)
-from fbmcontrol.errors import UnsupportedModelError, UnsupportedRegimeError
+from fbmcontrol.errors import (RegressionError, UnsupportedModelError,
+                               UnsupportedRegimeError)
 from fbmcontrol.fbm import PathSet, kernel_weights
 from fbmcontrol.lq import LqSpec, lq_model
 from fbmcontrol.lq import lq_adjoint_problem
@@ -41,6 +43,30 @@ def lq_problem(coupled_paths_256):
     prob = lq_adjoint_problem(spec, lq_model(spec), u, coupled_paths_256)
     est = estimate_q_formula(prob, estimate_p(prob))
     return spec, prob, est
+
+
+class TestNodeRegression:
+    def test_reproduces_quadratics_at_every_node(self, coupled_paths_256):
+        X = coupled_paths_256.B[:, 0, 1:]  # spreads from sqrt(dt) to 1
+        k = np.arange(X.shape[1])
+        a, b, c = 1.0 + 0.01 * k, -0.5 + 0.02 * k, 0.3 - 0.001 * k
+        y = a + b * X + c * X ** 2
+        # no ridge: its deliberate shrinkage would bias the fit at ~1e-8
+        reg = NodeRegression.fit(X, RegressionBasis(ridge=0.0))
+        assert np.allclose(reg.predict(reg.coeffs(y)), y, rtol=0, atol=1e-10)
+
+    def test_constant_state_node_gives_plain_mean(self):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((500, 3))
+        X[:, 1] = 0.7  # every path in the same state
+        y = rng.standard_normal((500, 3))
+        reg = NodeRegression.fit(X, RegressionBasis())
+        assert reg.scale[1] == 0.0
+        assert np.allclose(reg.predict(reg.coeffs(y))[:, 1], y[:, 1].mean(),
+                           rtol=0, atol=1e-14)
+        # without the ridge that node's normal equations are singular
+        with pytest.raises(RegressionError):
+            NodeRegression.fit(X, RegressionBasis(ridge=0.0)).coeffs(y)
 
 
 class TestEstimateP:

@@ -30,8 +30,10 @@ class TestConfigSchema:
             load_config(write_config(tmp_path, hurst=0.4))
 
     def test_unknown_field_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_config(write_config(tmp_path, bogus=1))
+        # basis_degree was once accepted and silently ignored by solve-lq
+        for field in ("bogus", "basis_degree"):
+            with pytest.raises(ConfigError):
+                load_config(write_config(tmp_path, **{field: 3}))
 
     def test_coefficient_catalog(self, tmp_path):
         p = write_config(tmp_path, A={"kind": "sin", "a": -1.0, "b": 0.2,
