@@ -41,6 +41,10 @@ __all__ = [
     "ResidualReport",
 ]
 
+# nodes per block in the bump oracle: its feature arrays stay at
+# (n_paths, BUMP_BLOCK_NODES, degree+1) whatever the grid
+BUMP_BLOCK_NODES = 32
+
 
 @dataclass(frozen=True)
 class RegressionBasis:
@@ -156,12 +160,14 @@ class AdjointProblem:
         if not self.linear_in_state:
             raise UnsupportedModelError(
                 "closed-form Malliavin expansion needs a linear-in-state model")
-        spread = np.ptp(self.lin.sx, axis=1).max()
-        if spread > 1e-10:
-            raise UnsupportedModelError(
-                f"sigma_x varies across paths (spread {spread:.2e}); "
-                "model is not linear in state")
-        return self.lin.sx[:, 0, :]
+        sx = self.lin.sx
+        if sx.strides[1] != 0:  # stored per path, not once per node
+            spread = np.ptp(sx, axis=1).max()
+            if spread > 1e-10:
+                raise UnsupportedModelError(
+                    f"sigma_x varies across paths (spread {spread:.2e}); "
+                    "model is not linear in state")
+        return sx[:, 0, :]
 
 
 def adjoint_problem(model: CoefficientModel, u: ControlProcess, x0: float,
@@ -346,19 +352,25 @@ def estimate_q_bump(prob: AdjointProblem, est: AdjointEstimate,
     cov_c = (resid_var[:, None, None] * reg.coeff_cov())[1:]
     q = np.full((prob.m, n_paths, n_nodes), np.nan)
     se = np.full((prob.m, n_nodes), np.nan)
+    X = prob.x.X
+    wvec = np.empty((n_nodes - 2, reg.degree + 1))
     for j in range(prob.m):
-        dx = h * (prob.sigma_vals[j, :, :-1] + prob.gamma_vals[j, :, :-1] * w_diag)
-        x_next = prob.x.X[:, 1:]
-        fplus = reg.features(x_next[:, :-1] + dx[:, :-1], slice(1, None))
-        fminus = reg.features(x_next[:, :-1] - dx[:, :-1], slice(1, None))
-        q[j, :, :-2] = (reg.predict(c, fplus) - reg.predict(c, fminus)) / (2 * h)
-        fplus -= fminus
-        wvec = fplus.mean(axis=0) / (2 * h)
+        sig, gam = prob.sigma_vals[j], prob.gamma_vals[j]
+        for start in range(0, n_nodes - 2, BUMP_BLOCK_NODES):
+            k = slice(start, min(start + BUMP_BLOCK_NODES, n_nodes - 2))
+            nxt = slice(k.start + 1, k.stop + 1)
+            dx = h * (sig[:, k] + gam[:, k] * w_diag[k])
+            fplus = reg.features(X[:, nxt] + dx, nxt)
+            fminus = reg.features(X[:, nxt] - dx, nxt)
+            q[j, :, k] = (reg.predict(c[k], fplus) - reg.predict(c[k], fminus)) / (2 * h)
+            fplus -= fminus
+            wvec[k] = fplus.mean(axis=0) / (2 * h)
         var_coeff = np.zeros(n_nodes - 1)
         var_coeff[:-1] = np.einsum("ki,kij,kj->k", wvec, cov_c, wvec)
         # terminal node: p = g_x(X_T); finite-difference g_x directly
-        q[j, :, -2] = (_gx_bumped(prob, x_next[:, -1] + dx[:, -1])
-                       - _gx_bumped(prob, x_next[:, -1] - dx[:, -1])) / (2 * h)
+        dx = h * (sig[:, -2] + gam[:, -2] * w_diag[-1])
+        q[j, :, -2] = (_gx_bumped(prob, X[:, -1] + dx)
+                       - _gx_bumped(prob, X[:, -1] - dx)) / (2 * h)
         var_disp = q[j, :, :-1].var(axis=0, ddof=1) / n_paths
         se[j, :-1] = np.sqrt(var_coeff + var_disp)
     return BumpEstimate(q, se)

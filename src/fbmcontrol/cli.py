@@ -2,7 +2,8 @@
 
 Configs are flat JSON files; coefficient entries are numbers (constants) or
 named catalog functions, e.g. {"kind": "sin", "a": 0.5, "b": 0.2, "omega": 1.0}.
-Exit codes: 0 pass, 1 check failure, 2 usage error, 3 non-convergence.
+Exit codes: 0 pass, 1 check failure or numerical failure (blow-up, failed
+regression or factorization), 2 usage error, 3 non-convergence.
 """
 
 from __future__ import annotations
@@ -10,13 +11,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .adjoint import stationarity_residual, bsde_residual
-from .errors import DomainError
+from .errors import (BlowupError, DomainError, FactorizationError,
+                     RegressionError)
 from .fbm import Hurst, PathSet, TimeGrid, fbm_from_kernel, generate_bm
 from .lq import (LqSpec, PicardOptions, convexity_check, lq_picard_solve,
                  optimality_sweep, riccati_oracle, random_adapted_directions)
@@ -28,14 +32,19 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 
-# flat schema: name -> (kind, default); kind in {int, float, hurst, coef, list}
+# integer kinds: name -> (least allowed value, least value above the range)
+# (seed + 1 must still key a substream, so seeds stop one below 2^63)
+INT_KINDS = {"pos_int": (1, None), "path_count": (2, None), "seed": (0, 2 ** 63 - 1)}
+
+# flat schema: name -> (kind, default); kind in INT_KINDS or {str, float,
+# pos_float, unit_float, hurst, float_list, coef}
 CONFIG_SCHEMA = {
     "experiment": ("str", "run"),
     "hurst": ("hurst", 0.75),
     "T": ("pos_float", 1.0),
     "n_steps": ("pos_int", 256),
-    "n_paths": ("pos_int", 10000),
-    "seed": ("nonneg_int", 12345),
+    "n_paths": ("path_count", 10000),  # a standard error needs two paths
+    "seed": ("seed", 12345),
     "m": ("pos_int", 1),
     "A": ("coef", -1.0),
     "A_tilde": ("coef", 1.0),
@@ -68,44 +77,53 @@ class ConfigError(ValueError):
     pass
 
 
+def _number(raw) -> float:
+    """A finite float; JSON true/false are not numbers here."""
+    if isinstance(raw, bool):
+        raise ConfigError(f"expected a number, got {json.dumps(raw)}")
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ConfigError(f"expected a finite number, got {raw}")
+    return v
+
+
 def _validate_field(name, kind, raw):
     try:
         if kind == "str":
             if not isinstance(raw, str):
                 raise ConfigError(f"{name} must be a string")
             return raw
-        if kind == "pos_int":
+        if kind in INT_KINDS:
+            lo, hi = INT_KINDS[kind]
+            _number(raw)  # refuses bools, non-numbers and inf
             v = int(raw)
-            if v < 1 or v != raw:
-                raise ConfigError(f"{name} must be a positive integer, got {raw}")
-            return v
-        if kind == "nonneg_int":
-            v = int(raw)
-            if v < 0 or v != raw:
-                raise ConfigError(f"{name} must be a non-negative integer, got {raw}")
+            if v != raw or v < lo or (hi is not None and v >= hi):
+                allowed = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+                raise ConfigError(f"{name} must be an integer {allowed}, got {raw!r}")
             return v
         if kind == "float":
-            return float(raw)
+            return _number(raw)
         if kind == "pos_float":
-            v = float(raw)
+            v = _number(raw)
             if not v > 0:
                 raise ConfigError(f"{name} must be positive, got {raw}")
             return v
         if kind == "unit_float":
-            v = float(raw)
+            v = _number(raw)
             if not 0 < v <= 1:
                 raise ConfigError(f"{name} must lie in (0, 1], got {raw}")
             return v
         if kind == "hurst":
-            Hurst(float(raw))  # raises DomainError outside (1/2, 1)
-            return float(raw)
+            v = _number(raw)
+            Hurst(v)  # raises DomainError outside (1/2, 1)
+            return v
         if kind == "float_list":
             if not isinstance(raw, (list, tuple)) or not raw:
                 raise ConfigError(f"{name} must be a non-empty list of numbers")
-            return [float(x) for x in raw]
+            return [_number(x) for x in raw]
         if kind == "coef":
             if isinstance(raw, (int, float)):
-                return float(raw)
+                return _number(raw)
             if isinstance(raw, dict):
                 k = raw.get("kind")
                 if k not in COEF_CATALOG:
@@ -116,7 +134,7 @@ def _validate_field(name, kind, raw):
                 missing = [p for p in params if p not in raw]
                 if missing:
                     raise ConfigError(f"{name}: missing parameters {missing} for kind {k!r}")
-                return {key: (raw[key] if key == "kind" else float(raw[key]))
+                return {key: (raw[key] if key == "kind" else _number(raw[key]))
                         for key in ("kind", *params)}
             raise ConfigError(f"{name} must be a number or a catalog object")
     except (TypeError, ValueError, DomainError) as exc:
@@ -192,7 +210,21 @@ def _write_summary(path: Path, cfg: dict, lines) -> None:
             fh.write(line + "\n")
 
 
-def cmd_paths(cfg: dict, out: Path, workers: int) -> int:
+@dataclass
+class Progress:
+    """Stage of the running command and the summary it has started.
+
+    A numerical failure is reported against ``stage``; ``summary`` is then
+    written with ``lines`` so far and the failure.
+    """
+
+    stage: str = "setup"
+    summary: Path | None = None
+    lines: list = field(default_factory=list)
+
+
+def cmd_paths(cfg: dict, out: Path, workers: int, run: Progress) -> int:
+    run.stage = "paths"
     paths = generate_paths(cfg, workers)
     paths.to_csv(out / "paths.csv")
     # covariance validation on the generated bundle
@@ -217,20 +249,22 @@ def cmd_paths(cfg: dict, out: Path, workers: int) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILURE
 
 
-def cmd_verify(cfg: dict, suite: str, out: Path) -> int:
+def cmd_verify(cfg: dict, suite: str, out: Path, run: Progress) -> int:
+    run.stage = f"verify {suite}"
+    run.summary = out / f"verify_{suite}_summary.txt"
     checks = run_suite(suite, hurst=cfg["hurst"], n_steps=cfg["n_steps"],
                        n_paths=cfg["n_paths"], seed=cfg["seed"], T=cfg["T"],
                        table_out=out / f"{suite}_table.csv")
     _write_checks(out / f"verify_{suite}.csv", cfg, checks)
     lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}: value={c.value:.6g} "
              f"tol={c.tolerance:.6g} {c.detail}" for c in checks]
-    _write_summary(out / f"verify_{suite}_summary.txt", cfg, lines)
+    _write_summary(run.summary, cfg, lines)
     for line in lines:
         print(line)
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILURE
 
 
-def cmd_solve_lq(cfg: dict, out: Path, workers: int) -> int:
+def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
     spec = lq_spec_from_config(cfg)
     grid = TimeGrid(cfg["T"], cfg["n_steps"])
     try:
@@ -238,14 +272,18 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int) -> int:
     except DomainError as exc:
         print(f"config violates the LQ invariants: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
+    run.summary = out / "solve_summary.txt"
+    lines = run.lines
+    run.stage = "paths"
     paths = generate_paths(cfg, workers)
     options = PicardOptions(theta=cfg["theta"], tol=cfg["tol"],
                             max_iter=cfg["max_iter"], u0=cfg["u0"])
+    run.stage = "picard"
     sol = lq_picard_solve(spec, paths, options)
-    lines = [f"converged: {sol.converged}",
-             f"iterations: {len(sol.iterations)}",
-             f"theta: {cfg['theta']}  tol: {cfg['tol']}  max_iter: {cfg['max_iter']}",
-             f"J: {sol.J:.8f} +- {sol.J_stderr:.8f}"]
+    lines += [f"converged: {sol.converged}",
+              f"iterations: {len(sol.iterations)}",
+              f"theta: {cfg['theta']}  tol: {cfg['tol']}  max_iter: {cfg['max_iter']}",
+              f"J: {sol.J:.8f} +- {sol.J_stderr:.8f}"]
     for row in sol.iterations:
         lines.append(f"iter {row['iter']}: control_change={row['change']:.6e} "
                      f"J={row['J']:.8f} +- {row['J_stderr']:.2e}")
@@ -264,9 +302,10 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int) -> int:
     exit_code = EXIT_OK
     if not sol.converged:
         lines.append("NON-CONVERGENCE: control change above tol at max_iter")
-        _write_summary(out / "solve_summary.txt", cfg, lines)
+        _write_summary(run.summary, cfg, lines)
         return EXIT_NO_CONVERGENCE
 
+    run.stage = "residuals"
     res = stationarity_residual(sol.problem, sol.estimate)
     res.to_csv(out / "stationarity_residual.csv")
     z = res.max_abs_z()
@@ -279,6 +318,7 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int) -> int:
     lines.append(f"bsde_residual mean_sq (avg): {bs.mean_sq.mean():.3e}")
 
     if spec.is_brownian_only(grid):
+        run.stage = "riccati"
         ric = riccati_oracle(spec, grid)
         gap = abs(sol.J - ric.J)
         budget = 3 * sol.J_stderr + 0.02 * sol.J
@@ -287,6 +327,7 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int) -> int:
         if gap > budget:
             exit_code = EXIT_CHECK_FAILURE
 
+    run.stage = "optimality_sweep"
     directions = random_adapted_directions(paths, cfg["n_directions"],
                                            cfg["seed"] + 99)
     rows = optimality_sweep(spec, sol.u, directions, cfg["eps_list"], paths)
@@ -300,6 +341,7 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int) -> int:
     if n_bad:
         exit_code = EXIT_CHECK_FAILURE
 
+    run.stage = "convexity"
     conv = convexity_check(spec, sol.u,
                            ControlProcess.from_values(sol.u.values + 0.5),
                            paths)
@@ -308,7 +350,7 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int) -> int:
     if not conv.holds():
         exit_code = EXIT_CHECK_FAILURE
 
-    _write_summary(out / "solve_summary.txt", cfg, lines)
+    _write_summary(run.summary, cfg, lines)
     for line in lines:
         print(line)
     return exit_code
@@ -350,12 +392,20 @@ def main(argv=None) -> int:
         print("workers must be >= 1", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.command == "paths":
-        return cmd_paths(cfg, out, args.workers)
-    if args.command == "verify":
-        return cmd_verify(cfg, args.suite, out)
-    if args.command == "solve-lq":
-        return cmd_solve_lq(cfg, out, args.workers)
+    run = Progress()
+    try:
+        if args.command == "paths":
+            return cmd_paths(cfg, out, args.workers, run)
+        if args.command == "verify":
+            return cmd_verify(cfg, args.suite, out, run)
+        if args.command == "solve-lq":
+            return cmd_solve_lq(cfg, out, args.workers, run)
+    except (BlowupError, RegressionError, FactorizationError) as exc:
+        failure = f"FAILED in stage {run.stage}: {type(exc).__name__}: {exc}"
+        print(f"{args.command} {failure}", file=sys.stderr)
+        if run.summary is not None:
+            _write_summary(run.summary, cfg, [*run.lines, failure])
+        return EXIT_CHECK_FAILURE
     return EXIT_USAGE
 
 

@@ -44,12 +44,18 @@ def as_timefn(c):
     return lambda t: val
 
 
+def _node_values(fn, t) -> np.ndarray:
+    """A time function on the node vector t, one float per node (read-only)."""
+    return np.broadcast_to(np.asarray(fn(t), dtype=float), np.shape(t))
+
+
 @dataclass(frozen=True)
 class LqSpec:
     """Coefficient tuple (A, A~, M, M~, N, Q, R, G, x0, T), functions of time.
 
-    Constants are accepted anywhere a function is; Q >= 0, R >= delta > 0 and
-    G > 0 are checked on the working grid before any computation.
+    Constants are accepted anywhere a function is; functions act
+    elementwise on an array of times.  Q >= 0, R >= delta > 0 and G > 0 are
+    checked on the working grid before any computation.
     """
 
     A: object = -1.0
@@ -72,9 +78,8 @@ class LqSpec:
         if abs(grid.horizon - self.T) > 1e-12:
             raise DomainError(f"grid horizon {grid.horizon} != spec horizon {self.T}")
         f = self.fns()
-        t = grid.nodes
-        q = np.array([f["Q"](ti) for ti in t])
-        r = np.array([f["R"](ti) for ti in t])
+        q = _node_values(f["Q"], grid.nodes)
+        r = _node_values(f["R"], grid.nodes)
         if q.min() < 0:
             raise DomainError(f"Q(t) must be >= 0 on [0,T]; min {q.min():.3e}")
         delta = float(r.min())
@@ -85,8 +90,7 @@ class LqSpec:
         return delta
 
     def is_brownian_only(self, grid: TimeGrid) -> bool:
-        n = self.fns()["N"]
-        return max(abs(n(ti)) for ti in grid.nodes) == 0.0
+        return bool(np.abs(_node_values(self.fns()["N"], grid.nodes)).max() == 0.0)
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,8 @@ def lq_model(spec: LqSpec, scenario: LqScenario = direct_scenario()) -> Coeffici
     """Coefficient model of the LQ state equation under the given wiring."""
     f = spec.fns()
     A, At, M, Mt, N = f["A"], f["A_tilde"], f["M"], f["M_tilde"], f["N"]
-    zero = lambda t, x, u: np.zeros_like(np.asarray(x, dtype=float))
+    # partials depend on time only: one value per node, never per path
+    zero = lambda t, x, u: np.zeros(np.shape(t))
 
     def sigma_fn(t, x, u):
         return M(t) * x + Mt(t) * u
@@ -131,17 +136,17 @@ def lq_model(spec: LqSpec, scenario: LqScenario = direct_scenario()) -> Coeffici
     gam_x = [zero] * scenario.m
     gam_u = [zero] * scenario.m
     sig[scenario.sigma_driver] = sigma_fn
-    sig_x[scenario.sigma_driver] = lambda t, x, u: M(t) * np.ones_like(x)
-    sig_u[scenario.sigma_driver] = lambda t, x, u: Mt(t) * np.ones_like(x)
+    sig_x[scenario.sigma_driver] = lambda t, x, u: _node_values(M, t)
+    sig_u[scenario.sigma_driver] = lambda t, x, u: _node_values(Mt, t)
     gam[scenario.gamma_driver] = gamma_fn
-    gam_x[scenario.gamma_driver] = lambda t, x, u: N(t) * np.ones_like(x)
+    gam_x[scenario.gamma_driver] = lambda t, x, u: _node_values(N, t)
 
     return CoefficientModel(
         m=scenario.m,
         b=lambda t, x, u: A(t) * x + At(t) * u,
         sigma=sig, gamma=gam,
-        b_x=lambda t, x, u: A(t) * np.ones_like(x),
-        b_u=lambda t, x, u: At(t) * np.ones_like(x),
+        b_x=lambda t, x, u: _node_values(A, t),
+        b_u=lambda t, x, u: _node_values(At, t),
         sigma_x=sig_x, sigma_u=sig_u, gamma_x=gam_x, gamma_u=gam_u,
         linear_in_state=True)
 
@@ -155,9 +160,9 @@ class CostEstimate:
 
 def _cost_per_path(spec: LqSpec, x: StatePath, u_values: np.ndarray) -> np.ndarray:
     f = spec.fns()
-    t = x.grid.nodes
-    qv = np.array([f["Q"](ti) for ti in t[:-1]])
-    rv = np.array([f["R"](ti) for ti in t[:-1]])
+    t = x.grid.nodes[:-1]
+    qv = _node_values(f["Q"], t)
+    rv = _node_values(f["R"], t)
     run = ((qv * x.X[:, :-1] ** 2 + rv * u_values[:, :-1] ** 2)
            * x.grid.dt).sum(axis=1)
     return 0.5 * (run + spec.G * x.X[:, -1] ** 2)
@@ -186,7 +191,7 @@ def lq_adjoint_problem(spec: LqSpec, model: CoefficientModel,
         fx_fn=lambda t, x, uu: Q(t) * x,
         fu_fn=lambda t, x, uu: R(t) * uu,
         gx_fn=lambda x: G * x,
-        fxx_fn=lambda t, x, uu: Q(t) * np.ones_like(x),
+        fxx_fn=lambda t, x, uu: _node_values(Q, t),
         gxx_fn=lambda x: G * np.ones_like(x))
 
 
@@ -235,10 +240,8 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
     assert delta > 0
     model = lq_model(spec, scenario)
     f = spec.fns()
-    t = paths.grid.nodes
-    r_nodes = np.array([f["R"](ti) for ti in t])
-    at_nodes = np.array([f["A_tilde"](ti) for ti in t])
-    mt_nodes = np.array([f["M_tilde"](ti) for ti in t])
+    r_nodes, at_nodes, mt_nodes = (_node_values(f[name], paths.grid.nodes)
+                                   for name in ("R", "A_tilde", "M_tilde"))
 
     u = ControlProcess.from_values(
         np.full((paths.n_paths, paths.grid.n_nodes), float(options.u0)))

@@ -43,8 +43,11 @@ class CoefficientModel:
     """Drift, diffusion and fractional-diffusion coefficients with partials.
 
     ``sigma``/``gamma`` and their partials are lists with one callable per
-    driving dimension; every callable maps (t, x, u) with scalar t and
-    vectorized x, u.
+    driving dimension; every callable maps (t, x, u) and acts elementwise.
+    ``t`` is either one node time or the whole node vector, shape
+    (n_nodes,), which broadcasts along the last axis of (n_paths, n_nodes)
+    states and controls.  A callable may return one value per node instead
+    of one per path and node; such values are stored once per node.
     """
 
     m: int
@@ -137,11 +140,6 @@ class ControlProcess:
             vals[:, k] = fn(k, t[k], paths.B[..., :k + 1])
         return cls(values=vals)
 
-    def at(self, k: int, t: float, x: np.ndarray) -> np.ndarray:
-        if self.values is not None:
-            return self.values[:, k]
-        return np.asarray(self.feedback(t, x), dtype=float)
-
     def materialize(self, x: "StatePath") -> np.ndarray:
         """Node values along a state path, shape (n_paths, n_nodes)."""
         if self.values is not None:
@@ -174,10 +172,20 @@ class StatePath:
 
 
 def _blowup_guard(x: np.ndarray, step: int) -> None:
-    bad = ~np.isfinite(x) | (np.abs(x) > BLOWUP_LIMIT)
-    if bad.any():
-        p = int(np.argmax(bad))
-        raise BlowupError(p, step, float(x[p]) if np.isfinite(x[p]) else float("inf"))
+    """Raise at the first step, then the first path, where |x| is not finite
+    or beyond ``BLOWUP_LIMIT``.
+
+    ``x`` holds one step, shape (n_paths,), or the consecutive steps step,
+    step + 1, ... along its last axis, shape (n_paths, n).
+    """
+    if np.abs(x).max() <= BLOWUP_LIMIT:  # False for NaN
+        return
+    bad = ~(np.abs(x) <= BLOWUP_LIMIT)
+    if x.ndim == 2:
+        k = int(np.argmax(bad.any(axis=0)))
+        x, bad, step = x[:, k], bad[:, k], step + k
+    p = int(np.argmax(bad))
+    raise BlowupError(p, step, float(x[p]) if np.isfinite(x[p]) else float("inf"))
 
 
 def euler_mixed(model: CoefficientModel, u: ControlProcess, x0: float,
@@ -193,29 +201,37 @@ def euler_mixed(model: CoefficientModel, u: ControlProcess, x0: float,
     grid = paths.grid
     t = grid.nodes
     dt = grid.dt
-    dbh = np.diff(paths.BH, axis=-1)
-    X = np.empty((paths.n_paths, grid.n_nodes))
-    X[:, 0] = x0
+    # time-major copies: every step reads and writes contiguous rows
+    db = np.ascontiguousarray(paths.dB.transpose(2, 1, 0))
+    dbh = np.ascontiguousarray(np.diff(paths.BH, axis=-1).transpose(2, 1, 0))
+    uv = None if u.values is None else np.ascontiguousarray(u.values.T)
+    X = np.empty((grid.n_nodes, paths.n_paths))
+    X[0] = x0
     for k in range(grid.n_steps):
-        xk = X[:, k]
-        uk = u.at(k, t[k], xk)
+        xk = X[k]
+        uk = uv[k] if uv is not None else np.asarray(u.feedback(t[k], xk), dtype=float)
         inc = model.b(t[k], xk, uk) * dt
         for j in range(model.m):
-            inc = inc + model.sigma[j](t[k], xk, uk) * paths.dB[:, j, k] \
-                      + model.gamma[j](t[k], xk, uk) * dbh[:, j, k]
-        X[:, k + 1] = xk + inc
-        _blowup_guard(X[:, k + 1], k + 1)
-    return StatePath(grid, X)
+            inc = inc + model.sigma[j](t[k], xk, uk) * db[k, j] \
+                      + model.gamma[j](t[k], xk, uk) * dbh[k, j]
+        np.add(xk, inc, out=X[k + 1])
+        _blowup_guard(X[k + 1], k + 1)
+    return StatePath(grid, np.ascontiguousarray(X.T))
 
 
 @dataclass(frozen=True)
 class Linearization:
-    """Model partials evaluated along a reference pair (X*, u*)."""
+    """Model partials evaluated along a reference pair (X*, u*).
+
+    Each array is (m, n_paths, n_nodes) (bx, bu: (n_paths, n_nodes)); a
+    partial that depends on time only is a read-only view with stride 0
+    over paths.
+    """
 
     grid: TimeGrid
     bx: np.ndarray
     bu: np.ndarray
-    sx: np.ndarray  # (m, n_paths, n_nodes)
+    sx: np.ndarray
     su: np.ndarray
     gx: np.ndarray
     gu: np.ndarray
@@ -226,21 +242,25 @@ class Linearization:
 
 
 def evaluate_along(fns, t: np.ndarray, *node_values: np.ndarray) -> np.ndarray:
-    """fn(t_k, a[:, k], ...) for each fn and node k, shape (len(fns), n_paths, n_nodes).
+    """Each fn called once on the whole grid, shape (len(fns), n_paths, n_nodes).
 
-    ``node_values`` are (n_paths, n_nodes) arrays such as the state and the
-    control; each fn may return one value per path or a scalar.
+    ``t`` is the node vector, shape (n_nodes,), and ``node_values`` are
+    (n_paths, n_nodes) arrays such as the state and the control; each fn is
+    called once and acts elementwise.  When every fn returns one value per
+    node (or a scalar), the result is a read-only view of those values
+    broadcast over paths with stride 0.
     """
-    out = np.empty((len(fns), *node_values[0].shape))
-    for k, tk in enumerate(t):
-        at_k = [a[:, k] for a in node_values]
-        for i, fn in enumerate(fns):
-            out[i, :, k] = fn(tk, *at_k)
-    return out
+    n_paths, n_nodes = node_values[0].shape
+    vals = [np.asarray(fn(t, *node_values), dtype=float) for fn in fns]
+    per_node = all(v.ndim <= 1 for v in vals)
+    out = np.empty((len(fns), 1 if per_node else n_paths, n_nodes))
+    for i, v in enumerate(vals):
+        out[i] = v
+    return np.broadcast_to(out, (len(fns), n_paths, n_nodes)) if per_node else out
 
 
 def linearize(model: CoefficientModel, x: StatePath, u: ControlProcess) -> Linearization:
-    """Evaluate all first partials along (X*, u*) at every node."""
+    """Evaluate all first partials along (X*, u*) on the whole grid."""
     at = (x.grid.nodes, x.X, u.materialize(x))
     bx, bu = evaluate_along([model.b_x, model.b_u], *at)
     return Linearization(x.grid, bx, bu, evaluate_along(model.sigma_x, *at),
@@ -250,21 +270,33 @@ def linearize(model: CoefficientModel, x: StatePath, u: ControlProcess) -> Linea
 
 
 def _homogeneous(lin: Linearization, paths: PathSet, sign: float) -> StatePath:
+    """Y_{k+1} = Y_k fac_k from Y_0 = 1, as one cumulative product over time.
+
+    The step factors of all steps are built first, with the operations of
+    the step recursion in its order, so the product is bitwise the
+    recursion's; the blow-up guard then checks the finished product.
+    """
     grid = paths.grid
-    dt = grid.dt
     dbh = np.diff(paths.BH, axis=-1)
+    if sign > 0:
+        fac = lin.bx[:, :-1] * grid.dt
+    else:
+        fac = (lin.sx[:, :, :-1] ** 2).sum(axis=0)
+        fac -= lin.bx[:, :-1]
+        fac *= grid.dt
+    fac += 1.0
+    for j in range(lin.m):
+        noise = lin.sx[j, :, :-1] * paths.dB[:, j]
+        noise += lin.gx[j, :, :-1] * dbh[:, j]
+        if sign > 0:
+            fac += noise
+        else:
+            fac -= noise
     Y = np.empty((paths.n_paths, grid.n_nodes))
     Y[:, 0] = 1.0
-    for k in range(grid.n_steps):
-        if sign > 0:
-            fac = 1.0 + lin.bx[:, k] * dt
-        else:
-            fac = 1.0 + (-lin.bx[:, k] + (lin.sx[:, :, k] ** 2).sum(axis=0)) * dt
-        for j in range(lin.m):
-            fac = fac + sign * (lin.sx[j, :, k] * paths.dB[:, j, k]
-                                + lin.gx[j, :, k] * dbh[:, j, k])
-        Y[:, k + 1] = Y[:, k] * fac
-        _blowup_guard(Y[:, k + 1], k + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumprod(fac, axis=1, out=Y[:, 1:])
+    _blowup_guard(Y[:, 1:], 1)
     return StatePath(grid, Y)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fbmcontrol import adjoint
 from fbmcontrol.adjoint import (NodeRegression, RegressionBasis,
                                 adjoint_problem, bsde_residual,
                                 constraint_residual_gamma, estimate_p,
@@ -207,6 +208,31 @@ class TestQEstimation:
         se = np.hypot(qa.mean_stderr[0, k], qb.mean_stderr[0, k])
         assert abs(np.nanmean(qa.q[0, :, k]) - np.nanmean(qb.q[0, :, k])) \
             <= max(3 * se, 1e-10)
+
+    def test_bump_blocks_leave_values_unchanged(self, lq_problem, monkeypatch):
+        _, prob, est = lq_problem
+        ref = estimate_q_bump(prob, est)
+        monkeypatch.setattr(adjoint, "BUMP_BLOCK_NODES", 1)
+        single = estimate_q_bump(prob, est)
+        assert np.array_equal(single.q, ref.q, equal_nan=True)
+        assert np.array_equal(single.mean_stderr, ref.mean_stderr, equal_nan=True)
+
+    def test_sigma_x_deterministic(self, lq_problem, coupled_paths_256):
+        _, prob, _ = lq_problem
+        assert prob.lin.sx.strides[1] == 0  # once per node, not per path
+        assert np.array_equal(prob.sigma_x_deterministic(),
+                              np.full((1, prob.paths.grid.n_nodes), 0.2))
+        nonlinear = CoefficientModel(
+            m=1, b=zero, sigma=[lambda t, x, u: np.sin(x)], gamma=[zero],
+            b_x=zero, b_u=zero, sigma_x=[lambda t, x, u: np.cos(x)],
+            sigma_u=[zero], gamma_x=[zero], gamma_u=[zero])
+        for linear in (False, True):  # undeclared, or declared but not so
+            nonlinear.linear_in_state = linear
+            prob = adjoint_problem(nonlinear, ControlProcess.constant(0.0), 1.0,
+                                   coupled_paths_256, fx_fn=one, fu_fn=zero,
+                                   gx_fn=lambda x: x)
+            with pytest.raises(UnsupportedModelError):
+                prob.sigma_x_deterministic()
 
     def test_bump_zero_for_constant_p(self, coupled_paths_256):
         prob = adjoint_problem(trivial_model(), ControlProcess.constant(0.0),

@@ -45,6 +45,19 @@ class TestConfigSchema:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, A={"kind": "tanh", "a": 1.0}))
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_paths", 1),        # no standard error from one path
+        ("n_paths", True),     # JSON true is not a count
+        ("seed", 1e30),        # beyond the substream key range
+        ("x0", True),
+    ])
+    def test_bad_value_exits_usage(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, **{field: value})
+        rc = main(["solve-lq", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.count("\n") == 1 and field in err
+
     def test_hash_is_stable(self, tmp_path):
         a = load_config(write_config(tmp_path))
         b = load_config(write_config(tmp_path))
@@ -105,6 +118,17 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, R=0.0)
         assert main(["solve-lq", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == EXIT_CHECK_FAILURE
+
+    def test_blowup_reported_with_stage(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, A=40.0)
+        out = tmp_path / "o"
+        rc = main(["solve-lq", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CHECK_FAILURE
+        assert err.count("\n") == 1 and "stage picard" in err
+        assert "BlowupError" in err and "Traceback" not in err
+        summary = (out / "solve_summary.txt").read_text()
+        assert summary.splitlines()[-1].startswith("FAILED in stage picard: BlowupError")
 
     def test_non_convergence_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tol=1e-13, max_iter=2)

@@ -11,7 +11,7 @@ from fbmcontrol.lq import (LqSpec, PicardOptions, convexity_check,
                            direct_scenario, independent_bm_scenario, lq_cost,
                            lq_model, lq_picard_solve, optimality_sweep,
                            random_adapted_directions, riccati_oracle)
-from fbmcontrol.sde import ControlProcess, euler_mixed
+from fbmcontrol.sde import ControlProcess, euler_mixed, linearize
 
 N_PATHS = 6000
 N_STEPS = 128
@@ -65,6 +65,24 @@ class TestSpecValidation:
     def test_time_dependent_coefficients_accepted(self, paths):
         spec = LqSpec(Q=lambda t: 1 + t, R=lambda t: 0.5 + 0.1 * np.sin(t))
         assert spec.validate_on(paths.grid) > 0
+
+
+class TestLqModel:
+    def test_partials_stored_once_per_node(self, paths):
+        spec = LqSpec(A=lambda t: -1.0 + 0.5 * t, A_tilde=1.0, M=0.2,
+                      M_tilde=0.3, N=0.3)
+        model = lq_model(spec)
+        u = ControlProcess.constant(0.1)
+        x = euler_mixed(model, u, spec.x0, paths)
+        lin = linearize(model, x, u)
+        t = paths.grid.nodes
+        assert lin.bx.shape == lin.bu.shape == x.X.shape
+        assert lin.bx.strides[0] == lin.bu.strides[0] == 0
+        for arr in (lin.sx, lin.su, lin.gx, lin.gu):
+            assert arr.shape == (1, *x.X.shape) and arr.strides[1] == 0
+        assert np.array_equal(lin.bx[0], -1.0 + 0.5 * t)
+        assert np.all(lin.sx == 0.2) and np.all(lin.su == 0.3)
+        assert np.all(lin.gx == 0.3) and np.all(lin.gu == 0.0)
 
 
 class TestLqCost:

@@ -5,10 +5,13 @@ import pytest
 
 from fbmcontrol.errors import BlowupError, DomainError
 from fbmcontrol.fbm import TimeGrid, coarsen, fbm_from_kernel, generate_bm
-from fbmcontrol.sde import (CoefficientModel, ControlProcess, alpha_norm_terminal,
-                            default_alpha, discrete_alpha_norm, euler_mixed,
+from fbmcontrol.lq import LqSpec, independent_bm_scenario, lq_model
+from fbmcontrol.sde import (BLOWUP_LIMIT, CoefficientModel, ControlProcess,
+                            alpha_norm_terminal, default_alpha,
+                            discrete_alpha_norm, euler_mixed, evaluate_along,
                             fundamental_phi, fundamental_psi, lemma1_experiment,
                             linearize, variation_direct, variation_explicit)
+from fbmcontrol.verify import nonlinear_lemma_model
 
 
 def zero(t, x, u):
@@ -37,11 +40,36 @@ def euler_maruyama_reference(b, s, u, x0, paths):
     X[:, 0] = x0
     t = grid.nodes
     for k in range(grid.n_steps):
-        uk = u.at(k, t[k], X[:, k])
+        uk = u.feedback(t[k], X[:, k])
         inc = b(t[k], X[:, k], uk) * grid.dt
         inc = inc + s(t[k], X[:, k], uk) * paths.dB[:, 0, k]
         X[:, k + 1] = X[:, k] + inc
     return X
+
+
+def homogeneous_reference(lin, paths, sign):
+    """Step-by-step recursion for Phi (sign +1) or Psi (sign -1).
+
+    Returns the values and the (path, step) where a per-step guard would
+    first stop, or None.
+    """
+    grid = paths.grid
+    dbh = np.diff(paths.BH, axis=-1)
+    Y = np.empty((paths.n_paths, grid.n_nodes))
+    Y[:, 0] = 1.0
+    for k in range(grid.n_steps):
+        if sign > 0:
+            fac = 1.0 + lin.bx[:, k] * grid.dt
+        else:
+            fac = 1.0 + (-lin.bx[:, k] + (lin.sx[:, :, k] ** 2).sum(axis=0)) * grid.dt
+        for j in range(lin.m):
+            fac = fac + sign * (lin.sx[j, :, k] * paths.dB[:, j, k]
+                                + lin.gx[j, :, k] * dbh[:, j, k])
+        Y[:, k + 1] = Y[:, k] * fac
+        bad = ~np.isfinite(Y[:, k + 1]) | (np.abs(Y[:, k + 1]) > BLOWUP_LIMIT)
+        if bad.any():
+            return Y, (int(np.argmax(bad)), k + 1)
+    return Y, None
 
 
 class TestCoefficientModel:
@@ -129,12 +157,74 @@ class TestEulerMixed:
         assert exc.value.step > 0
 
 
+class TestEvaluateAlong:
+    def test_matches_node_loop_on_nonlinear_model(self, coupled_paths_256):
+        model = nonlinear_lemma_model()
+        u = ControlProcess.constant(0.1)
+        x = euler_mixed(model, u, 0.5, coupled_paths_256)
+        uv = u.materialize(x)
+        fns = [model.b, model.b_x, model.b_u, *model.sigma, *model.gamma,
+               *model.sigma_x, *model.sigma_u, *model.gamma_x, *model.gamma_u]
+        t = x.grid.nodes
+        got = evaluate_along(fns, t, x.X, uv)
+        ref = np.empty((len(fns), *x.X.shape))
+        for k, tk in enumerate(t):
+            for i, fn in enumerate(fns):
+                ref[i, :, k] = fn(tk, x.X[:, k], uv[:, k])
+        assert np.array_equal(got, ref)
+
+    def test_time_only_values_are_stored_once_per_node(self):
+        t = np.linspace(0.0, 1.0, 5)
+        X = np.arange(15.0).reshape(3, 5)
+        out = evaluate_along([lambda t, x: np.sin(t), lambda t, x: 2.0], t, X)
+        assert out.shape == (2, 3, 5) and out.strides[1] == 0
+        assert not out.flags.writeable
+        assert np.array_equal(out[0], np.broadcast_to(np.sin(t), (3, 5)))
+        assert np.all(out[1] == 2.0)
+        # one per-path callable makes the whole result per path
+        mixed = evaluate_along([lambda t, x: np.sin(t), lambda t, x: x], t, X)
+        assert mixed.strides[1] != 0 and np.array_equal(mixed[1], X)
+
+
 class TestFundamentalPair:
     def _pair(self, model, paths):
         u0 = ControlProcess.constant(0.0)
         x = euler_mixed(model, u0, 1.0, paths)
         lin = linearize(model, x, u0)
         return fundamental_phi(lin, paths), fundamental_psi(lin, paths)
+
+    @pytest.mark.parametrize("name", ["lq", "lq_two_drivers", "nonlinear"])
+    def test_cumulative_product_matches_step_recursion(self, name, coupled_paths_256):
+        spec = LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3)
+        if name == "lq":
+            model, paths = lq_model(spec), coupled_paths_256
+        elif name == "lq_two_drivers":
+            model = lq_model(spec, independent_bm_scenario())
+            paths = fbm_from_kernel(generate_bm(TimeGrid(1.0, 128), 2, 500, seed=9), 0.75)
+        else:
+            model, paths = nonlinear_lemma_model(), coupled_paths_256
+        u = ControlProcess.constant(0.1)
+        lin = linearize(model, euler_mixed(model, u, 0.5, paths), u)
+        for fn, sign in ((fundamental_phi, +1.0), (fundamental_psi, -1.0)):
+            ref, stop = homogeneous_reference(lin, paths, sign)
+            assert stop is None
+            assert np.array_equal(fn(lin, paths).X, ref)
+
+    @pytest.mark.parametrize("fn,sign", [(fundamental_phi, +1.0),
+                                         (fundamental_psi, -1.0)])
+    def test_blowup_reports_first_step_then_first_path(self, fn, sign,
+                                                       coupled_paths_256):
+        # sigma_x = 60 (a declared partial only; the state stays at x0): the
+        # product grows path by path and crosses the limit mid-grid
+        model = make_model(sx=const(60.0))
+        u = ControlProcess.constant(0.0)
+        lin = linearize(model, euler_mixed(model, u, 1.0, coupled_paths_256), u)
+        ref, stop = homogeneous_reference(lin, coupled_paths_256, sign)
+        assert stop is not None and 1 < stop[1] < coupled_paths_256.grid.n_steps
+        with pytest.raises(BlowupError) as exc:
+            fn(lin, coupled_paths_256)
+        assert (exc.value.path_index, exc.value.step) == stop
+        assert exc.value.value == ref[stop]
 
     def test_zero_coefficients(self, coupled_paths_256):
         phi, psi = self._pair(make_model(), coupled_paths_256)
