@@ -22,8 +22,9 @@ from .adjoint import stationarity_residual, bsde_residual
 from .errors import (BlowupError, DomainError, FactorizationError,
                      RegressionError)
 from .fbm import Hurst, PathSet, TimeGrid, fbm_from_kernel, generate_bm
-from .lq import (LqSpec, PicardOptions, convexity_check, lq_picard_solve,
-                 optimality_sweep, riccati_oracle, random_adapted_directions)
+from .lq import (LqSpec, PicardOptions, convexity_check, direct_scenario,
+                 independent_bm_scenario, lq_picard_solve, optimality_sweep,
+                 riccati_oracle, random_adapted_directions)
 from .sde import ControlProcess
 from .verify import run_suite, suite_names
 
@@ -265,6 +266,11 @@ def cmd_verify(cfg: dict, suite: str, out: Path, run: Progress) -> int:
 
 
 def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
+    if cfg["m"] > 2:
+        print(f"config error: solve-lq takes m = 1, or m = 2 for an independent "
+              f"Brownian motion, got m = {cfg['m']}", file=sys.stderr)
+        return EXIT_USAGE
+    scenario = independent_bm_scenario() if cfg["m"] == 2 else direct_scenario()
     spec = lq_spec_from_config(cfg)
     grid = TimeGrid(cfg["T"], cfg["n_steps"])
     try:
@@ -279,7 +285,7 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
     options = PicardOptions(theta=cfg["theta"], tol=cfg["tol"],
                             max_iter=cfg["max_iter"], u0=cfg["u0"])
     run.stage = "picard"
-    sol = lq_picard_solve(spec, paths, options)
+    sol = lq_picard_solve(spec, paths, options, scenario)
     lines += [f"converged: {sol.converged}",
               f"iterations: {len(sol.iterations)}",
               f"theta: {cfg['theta']}  tol: {cfg['tol']}  max_iter: {cfg['max_iter']}",
@@ -330,7 +336,8 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
     run.stage = "optimality_sweep"
     directions = random_adapted_directions(paths, cfg["n_directions"],
                                            cfg["seed"] + 99)
-    rows = optimality_sweep(spec, sol.u, directions, cfg["eps_list"], paths)
+    rows = optimality_sweep(spec, sol.u, directions, cfg["eps_list"], paths,
+                            scenario)
     n_bad = sum((not r.diff_ok()) or (not r.deriv_ok()) for r in rows)
     lines.append(f"optimality_sweep: {len(rows)} rows, {n_bad} violations")
     with open(out / "optimality_sweep.csv", "w", newline="") as fh:
@@ -344,7 +351,7 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
     run.stage = "convexity"
     conv = convexity_check(spec, sol.u,
                            ControlProcess.from_values(sol.u.values + 0.5),
-                           paths)
+                           paths, scenario)
     lines.append(f"convexity margin: {conv.margin_mean:.6e} "
                  f"+- {conv.margin_stderr:.2e} (holds: {conv.holds()})")
     if not conv.holds():

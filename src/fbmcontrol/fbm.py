@@ -16,9 +16,10 @@ oracle, not the kernel generator, anchors high-H covariance tests.
 
 from __future__ import annotations
 
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -124,16 +125,16 @@ class PathSet:
 
     def to_csv(self, path) -> None:
         """Write rows `path,dim,node,t,B,BH` for every node."""
-        t = self.grid.nodes
-        nan = float("nan")
+        node_t = [f"{k},{t:.17g}," for k, t in enumerate(self.grid.nodes.tolist())]
+        nan_row = [float("nan")] * self.grid.n_nodes
         with open(path, "w", newline="") as fh:
             fh.write("path,dim,node,t,B,BH\n")
             for p in range(self.n_paths):
                 for d in range(self.m):
-                    for k in range(self.grid.n_nodes):
-                        b = self.B[p, d, k] if self.B is not None else nan
-                        bh = self.BH[p, d, k] if self.BH is not None else nan
-                        fh.write(f"{p},{d},{k},{t[k]:.17g},{b:.17g},{bh:.17g}\n")
+                    b = self.B[p, d].tolist() if self.B is not None else nan_row
+                    bh = self.BH[p, d].tolist() if self.BH is not None else nan_row
+                    fh.write("".join([f"{p},{d},{kt}{x:.17g},{y:.17g}\n"
+                                      for kt, x, y in zip(node_t, b, bh)]))
 
     FORMAT_VERSION = 1
 
@@ -221,60 +222,122 @@ def kernel_z_closed(t, s, h) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-@lru_cache(maxsize=8)
-def _cached_weights(horizon: float, n_steps: int, H: float, order: int) -> np.ndarray:
+KERNEL_ORDER = 4        # nodes of every product-quadrature rule
+KERNEL_BLOCK_ROWS = 16  # rows per unit of work when a table is built or grown
+
+_unit_tables: dict[float, np.ndarray] = {}  # H -> unit-step table, rows 0..n
+_unit_tables_lock = threading.Lock()
+
+
+def _fixed_sum(f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of f * w, node after node.
+
+    The order of the additions depends on nothing but the node count, so a
+    cell's value does not depend on how many cells are summed at once.
+    """
+    out = f[..., 0] * w[0]
+    for j in range(1, len(w)):
+        out += f[..., j] * w[j]
+    return out
+
+
+def _unit_rows(H: float, k0: int, k1: int) -> np.ndarray:
+    """Rows k0 <= k < k1 of the unit-step table, shape (k1 - k0, k1 - 1).
+
+    On the grid dt = 1, t_k = k, entry (k, i) is the average of Z_H(k, .)
+    over cell i; it depends only on (k, i, H).  Interior cells use
+    Gauss-Legendre; the first cell, the diagonal cell and the single cell of
+    row 1 use Gauss-Jacobi rules that integrate the end-point power
+    singularities in closed form.
+    """
     a = H - 0.5
-    n = n_steps
-    dt = horizon / n
-    tn = np.linspace(0.0, horizon, n + 1)
-    W = np.zeros((n + 1, n))
+    rows = np.zeros((k1 - k0, max(k1 - 1, 0)))
+    if k1 <= 1:
+        return rows
+    if k0 <= 1:
+        # k = 1: single cell with both end-point powers
+        x1, w1 = roots_jacobi(KERNEL_ORDER, a, -a)
+        s1 = (x1 + 1) / 2
+        g1 = s1 ** a * (1 - s1) ** (-a) * _kernel_smooth(1.0, s1, H) * (1 - s1) ** a
+        rows[1 - k0, 0] = _fixed_sum(g1, w1) / 2
+    ks = np.arange(max(k0, 2), k1)
+    r = ks - k0
+    t = ks.astype(float)[:, None]
 
-    # interior cells: plain Gauss-Legendre on Z (smooth there)
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    kk, ii = np.meshgrid(np.arange(2, n + 1), np.arange(1, n), indexing="ij")
-    mask = ii <= kk - 2
-    if mask.any():
-        k_f = kk[mask]
-        i_f = ii[mask]
-        s = tn[i_f][:, None] + dt * (xg[None, :] + 1) / 2
-        z = _kernel_smooth(tn[k_f][:, None], s, H) * (tn[k_f][:, None] - s) ** a
-        W[k_f, i_f] = (z @ wg) / 2
-
-    # first cell, k >= 2: integrate the s^{-a} start-up factor exactly
-    x0, w0 = roots_jacobi(order, 0.0, -a)
-    s0 = dt * (x0 + 1) / 2
-    ks = np.arange(2, n + 1)
-    g = (s0[None, :] ** a
-         * _kernel_smooth(tn[ks][:, None], s0[None, :], H)
-         * (tn[ks][:, None] - s0[None, :]) ** a)
-    W[ks, 0] = (dt / 2) ** (1 - a) * (g @ w0) / dt
+    # first cell: integrate the s^{-a} start-up factor exactly
+    x0, w0 = roots_jacobi(KERNEL_ORDER, 0.0, -a)
+    s0 = ((x0 + 1) / 2)[None, :]
+    g = s0 ** a * _kernel_smooth(t, s0, H) * (t - s0) ** a
+    rows[r, 0] = 0.5 ** (1 - a) * _fixed_sum(g, w0)
 
     # diagonal cell: integrate the (t-s)^a factor exactly against smooth R
-    xd, wd = roots_jacobi(order, a, 0.0)
-    for_k = np.arange(2, n + 1)
-    sd = tn[for_k - 1][:, None] + dt * (xd[None, :] + 1) / 2
-    r = _kernel_smooth(tn[for_k][:, None], sd, H)
-    W[for_k, for_k - 1] = (dt / 2) ** (1 + a) * (r @ wd) / dt
+    xd, wd = roots_jacobi(KERNEL_ORDER, a, 0.0)
+    sd = (ks - 1).astype(float)[:, None] + ((xd + 1) / 2)[None, :]
+    rows[r, ks - 1] = 0.5 ** (1 + a) * _fixed_sum(_kernel_smooth(t, sd, H), wd)
 
-    # k = 1: single cell with both end-point powers
-    x1, w1 = roots_jacobi(order, a, -a)
-    s1 = dt * (x1 + 1) / 2
-    g1 = s1 ** a * (dt - s1) ** (-a) * _kernel_smooth(dt, s1, H) * (dt - s1) ** a
-    W[1, 0] = (dt / 2) * np.dot(w1, g1) / dt
+    # interior cells 1 <= i <= k - 2: plain Gauss-Legendre on Z (smooth there)
+    kk, ii = np.meshgrid(ks, np.arange(1, k1 - 2), indexing="ij")
+    mask = ii <= kk - 2
+    if mask.any():
+        k_f, i_f = kk[mask], ii[mask]
+        xg, wg = np.polynomial.legendre.leggauss(KERNEL_ORDER)
+        tk = k_f.astype(float)[:, None]
+        s = i_f.astype(float)[:, None] + ((xg + 1) / 2)[None, :]
+        z = _kernel_smooth(tk, s, H) * (tk - s) ** a
+        rows[k_f - k0, i_f] = _fixed_sum(z, wg) / 2
+    return rows
 
-    W.setflags(write=False)
-    return W
+
+def _kernel_threads() -> int:
+    return len(os.sched_getaffinity(0))
 
 
-def kernel_weights(grid: TimeGrid, h, order: int = 4) -> np.ndarray:
+def _unit_table(H: float, n_steps: int) -> np.ndarray:
+    """The unit-step table of H with at least rows 0..n_steps, grown on demand.
+
+    Only rows the table does not hold yet are computed, in blocks of
+    ``KERNEL_BLOCK_ROWS`` rows, largest first, on one thread per available
+    CPU (``hyp2f1`` and the power ufuncs release the GIL).  Every row depends
+    only on (k, H), so the table is the same for any thread count, block
+    size and growth history.
+    """
+    with _unit_tables_lock:
+        w = _unit_tables.get(H)
+        have = 0 if w is None else w.shape[0]
+        if have > n_steps:
+            return w
+        grown = np.zeros((n_steps + 1, n_steps))
+        if w is not None:
+            grown[:have, :have - 1] = w
+        blocks = [(k0, min(k0 + KERNEL_BLOCK_ROWS, n_steps + 1))
+                  for k0 in range(have, n_steps + 1, KERNEL_BLOCK_ROWS)]
+
+        def fill(block):
+            k0, k1 = block
+            grown[k0:k1, :k1 - 1] = _unit_rows(H, k0, k1)
+
+        with ThreadPoolExecutor(max_workers=_kernel_threads()) as pool:
+            list(pool.map(fill, blocks[::-1]))  # re-raises a failed block
+        grown.setflags(write=False)
+        _unit_tables[H] = grown
+        return grown
+
+
+def kernel_weights(grid: TimeGrid, h) -> np.ndarray:
     """Per-cell kernel weights W with B^H(t_k) = sum_i W[k, i] dB_i.
 
     W[k, i] is the cell average of Z_H(t_k, .) over cell i, computed by
     product quadratures that integrate the end-point power singularities in
     closed form (Gauss-Jacobi) and the smooth interior by Gauss-Legendre.
-    Cached per (grid, H).
+    Z_H is homogeneous of degree H - 1/2, so W is dt^{H-1/2} times the
+    top-left block of the unit-step table of H, which is kept per H and
+    grown by rows when a finer grid asks for them.  Read-only.
     """
-    return _cached_weights(float(grid.horizon), int(grid.n_steps), _hval(h), order)
+    H = _hval(h)
+    n = int(grid.n_steps)
+    W = grid.dt ** (H - 0.5) * _unit_table(H, n)[:n + 1, :n]
+    W.setflags(write=False)
+    return W
 
 
 def generate_bm(grid: TimeGrid, m: int, n_paths: int, seed: int,
@@ -305,7 +368,7 @@ def generate_bm(grid: TimeGrid, m: int, n_paths: int, seed: int,
     return PathSet(grid, m, n_paths, int(seed), None, dB, B, None)
 
 
-def fbm_from_kernel(bm: PathSet, h, order: int = 4) -> PathSet:
+def fbm_from_kernel(bm: PathSet, h) -> PathSet:
     """Attach the fractional path built from ``bm``'s own increments.
 
     B^H_j(t_k) = sum_{i<k} W[k, i] dB_j[i]; B and B^H stay jointly coherent.
@@ -313,7 +376,7 @@ def fbm_from_kernel(bm: PathSet, h, order: int = 4) -> PathSet:
     hurst = h if isinstance(h, Hurst) else Hurst(float(h))
     if bm.dB is None:
         raise GridMismatchError("kernel generator needs a path set with increments")
-    W = kernel_weights(bm.grid, hurst, order)
+    W = kernel_weights(bm.grid, hurst)
     bh = np.einsum("ki,pdi->pdk", W, bm.dB, optimize=True)
     bh[..., 0] = 0.0
     return bm.with_bh(hurst, bh)

@@ -310,19 +310,36 @@ def fundamental_psi(lin: Linearization, paths: PathSet) -> StatePath:
     return _homogeneous(lin, paths, -1.0)
 
 
+def _time_major(a: np.ndarray) -> np.ndarray:
+    """(..., n_paths, n_nodes) as (n_nodes, ..., n_paths).
+
+    A partial stored once per node keeps one value per node, shape
+    (n_nodes, ..., 1), which broadcasts over paths; any other array is copied
+    so that each node's row is contiguous.
+    """
+    a = np.moveaxis(a, -1, 0)
+    return a[..., :1] if a.strides[-1] == 0 else np.ascontiguousarray(a)
+
+
 def variation_direct(lin: Linearization, v: np.ndarray, paths: PathSet) -> StatePath:
     """Variation process by direct Euler integration of its linear SDE."""
     grid = paths.grid
     dt = grid.dt
-    dbh = np.diff(paths.BH, axis=-1)
-    y = np.zeros((paths.n_paths, grid.n_nodes))
+    # time-major: every step reads and writes contiguous rows
+    db = np.ascontiguousarray(paths.dB.transpose(2, 1, 0))
+    dbh = np.ascontiguousarray(np.diff(paths.BH, axis=-1).transpose(2, 1, 0))
+    bx, bu, sx, su, gx, gu = (_time_major(a) for a in
+                              (lin.bx, lin.bu, lin.sx, lin.su, lin.gx, lin.gu))
+    vt = np.ascontiguousarray(v.T)
+    y = np.zeros((grid.n_nodes, paths.n_paths))
     for k in range(grid.n_steps):
-        inc = (lin.bx[:, k] * y[:, k] + lin.bu[:, k] * v[:, k]) * dt
+        yk, vk = y[k], vt[k]
+        inc = (bx[k] * yk + bu[k] * vk) * dt
         for j in range(lin.m):
-            inc = inc + (lin.sx[j, :, k] * y[:, k] + lin.su[j, :, k] * v[:, k]) * paths.dB[:, j, k] \
-                      + (lin.gx[j, :, k] * y[:, k] + lin.gu[j, :, k] * v[:, k]) * dbh[:, j, k]
-        y[:, k + 1] = y[:, k] + inc
-    return StatePath(grid, y)
+            inc = inc + (sx[k, j] * yk + su[k, j] * vk) * db[k, j] \
+                      + (gx[k, j] * yk + gu[k, j] * vk) * dbh[k, j]
+        np.add(yk, inc, out=y[k + 1])
+    return StatePath(grid, np.ascontiguousarray(y.T))
 
 
 def variation_explicit(phi: StatePath, psi: StatePath, lin: Linearization,

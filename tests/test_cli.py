@@ -5,8 +5,10 @@ import json
 import pytest
 
 from fbmcontrol.cli import (EXIT_CHECK_FAILURE, EXIT_NO_CONVERGENCE, EXIT_OK,
-                            EXIT_USAGE, ConfigError, config_hash, load_config,
-                            main)
+                            EXIT_USAGE, ConfigError, config_hash, generate_paths,
+                            load_config, lq_spec_from_config, main)
+from fbmcontrol.lq import (PicardOptions, independent_bm_scenario,
+                           lq_picard_solve)
 
 
 def write_config(tmp_path, **overrides):
@@ -172,3 +174,27 @@ class TestSolveCommand:
             outs.append(out)
         for fname in ("control.csv", "adjoint.csv", "optimality_sweep.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_two_drivers_solve_the_independent_bm_model(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, m=2, n_steps=32, N=0.3,
+                                n_directions=1, eps_list=[0.1])
+        out = tmp_path / "o"
+        rc = main(["solve-lq", "--config", str(cfg_path), "--out", str(out)])
+        capsys.readouterr()
+        assert rc == EXIT_OK
+        cfg = load_config(cfg_path)
+        sol = lq_picard_solve(lq_spec_from_config(cfg), generate_paths(cfg),
+                              PicardOptions(theta=cfg["theta"], tol=cfg["tol"],
+                                            max_iter=cfg["max_iter"], u0=cfg["u0"]),
+                              independent_bm_scenario())
+        summary = (out / "solve_summary.txt").read_text()
+        assert f"J: {sol.J:.8f} +- {sol.J_stderr:.8f}" in summary.splitlines()
+
+    def test_more_than_two_drivers_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, m=3, n_steps=32)
+        out = tmp_path / "o"
+        rc = main(["solve-lq", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.count("\n") == 1 and "m = 3" in err and "Traceback" not in err
+        assert not (out / "solve_summary.txt").exists()

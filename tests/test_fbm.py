@@ -1,9 +1,13 @@
 """Generators and kernels against the analytic covariance law."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fbmcontrol import fbm
 from fbmcontrol.errors import DomainError, GridMismatchError
 from fbmcontrol.fbm import (Hurst, PathSet, TimeGrid, coarsen, fbm_covariance,
                             fbm_from_cholesky, fbm_from_kernel, generate_bm,
@@ -176,6 +180,74 @@ class TestKernelGenerator:
         assert abs(var_disc[64] - t[64] ** 1.5) < 6e-3
 
 
+class TestKernelTable:
+    def test_grown_table_equals_direct_build(self, monkeypatch):
+        monkeypatch.setattr(fbm, "_unit_tables", {})
+        for n in (64, 256, 1024):
+            grown = kernel_weights(TimeGrid(1.0, n), 0.75)
+        monkeypatch.setattr(fbm, "_unit_tables", {})
+        assert np.array_equal(grown, kernel_weights(TimeGrid(1.0, 1024), 0.75))
+
+    def test_independent_of_threads_and_block_rows(self, monkeypatch):
+        tables = []
+        for threads in (1, 2):
+            for rows in (1, 16):
+                monkeypatch.setattr(fbm, "_unit_tables", {})
+                monkeypatch.setattr(fbm, "_kernel_threads", lambda: threads)
+                monkeypatch.setattr(fbm, "KERNEL_BLOCK_ROWS", rows)
+                tables.append(kernel_weights(TimeGrid(1.0, 300), 0.8))
+        for W in tables[1:]:
+            assert np.array_equal(W, tables[0])
+
+    def test_concurrent_growth_computes_each_row_once(self, monkeypatch):
+        sizes = [40, 200, 80, 160, 120, 20]
+        monkeypatch.setattr(fbm, "_unit_tables", {})
+        computed = []
+        unit_rows = fbm._unit_rows
+        monkeypatch.setattr(fbm, "_unit_rows", lambda H, k0, k1: (
+            computed.append(k1 - k0), unit_rows(H, k0, k1))[1])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(sizes)) as pool:
+                futures = [pool.submit(kernel_weights, TimeGrid(1.0, n), 0.7)
+                           for n in sizes]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(computed) == max(sizes) + 1
+        for n, W in zip(sizes, got):
+            monkeypatch.setattr(fbm, "_unit_tables", {})
+            assert np.array_equal(W, kernel_weights(TimeGrid(1.0, n), 0.7))
+
+    @pytest.mark.parametrize("H", [0.6, 0.75, 0.9])
+    def test_homogeneity_in_the_horizon(self, H):
+        n = 100
+        W1 = kernel_weights(TimeGrid(1.0, n), H)
+        W2 = kernel_weights(TimeGrid(2.0, n), H)
+        nz = W1 != 0
+        assert np.array_equal(nz, W2 != 0)
+        rel = np.abs(W2[nz] - 2 ** (H - 0.5) * W1[nz]) / np.abs(W2[nz])
+        assert rel.max() <= 1e-15
+
+    def test_read_only(self):
+        W = kernel_weights(TimeGrid(1.0, 16), 0.75)
+        with pytest.raises(ValueError):
+            W[2, 1] = 0.0
+
+    @pytest.mark.parametrize("H", [0.6, 0.9])
+    def test_interior_cells_are_legendre_cell_averages(self, H):
+        grid = TimeGrid(1.0, 64)
+        W = kernel_weights(grid, H)
+        x, w = np.polynomial.legendre.leggauss(4)
+        t = grid.nodes
+        for k in range(3, grid.n_nodes):
+            for i in range(1, k - 1):
+                s = t[i] + grid.dt * (x + 1) / 2
+                avg = 0.5 * np.dot(w, kernel_z_closed(t[k], s, H))
+                assert abs(W[k, i] - avg) <= 1e-14 * abs(avg)
+
+
 class TestCholeskyGenerator:
     def test_single_node_variance(self):
         grid = TimeGrid(1.0, 1)
@@ -226,6 +298,19 @@ class TestPathSetPlumbing:
         lines = f.read_text().splitlines()
         assert lines[0] == "path,dim,node,t,B,BH"
         assert len(lines) == 1 + 3 * 1 * 5
+
+    def test_csv_bytes_match_reference_loop(self, tmp_path):
+        ps = generate_bm(TimeGrid(1.0, 4), 2, 3, seed=5)  # BH is None: NaN column
+        f = tmp_path / "paths.csv"
+        ps.to_csv(f)
+        t = ps.grid.nodes
+        lines = ["path,dim,node,t,B,BH\n"]
+        for p in range(ps.n_paths):
+            for d in range(ps.m):
+                for k in range(ps.grid.n_nodes):
+                    lines.append(f"{p},{d},{k},{t[k]:.17g},{ps.B[p, d, k]:.17g},"
+                                 f"{float('nan'):.17g}\n")
+        assert f.read_bytes() == "".join(lines).encode()
 
     def test_npz_round_trip(self, tmp_path):
         grid = TimeGrid(1.0, 8)

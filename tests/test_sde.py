@@ -72,6 +72,20 @@ def homogeneous_reference(lin, paths, sign):
     return Y, None
 
 
+def variation_reference(lin, v, paths):
+    """Node-by-node recursion for the variation process on path-major arrays."""
+    grid = paths.grid
+    dbh = np.diff(paths.BH, axis=-1)
+    y = np.zeros((paths.n_paths, grid.n_nodes))
+    for k in range(grid.n_steps):
+        inc = (lin.bx[:, k] * y[:, k] + lin.bu[:, k] * v[:, k]) * grid.dt
+        for j in range(lin.m):
+            inc = inc + (lin.sx[j, :, k] * y[:, k] + lin.su[j, :, k] * v[:, k]) * paths.dB[:, j, k] \
+                      + (lin.gx[j, :, k] * y[:, k] + lin.gu[j, :, k] * v[:, k]) * dbh[:, j, k]
+        y[:, k + 1] = y[:, k] + inc
+    return y
+
+
 class TestCoefficientModel:
     def test_partials_validate(self):
         m = make_model(b=lambda t, x, u: np.sin(x) + u, s=lambda t, x, u: np.cos(x),
@@ -316,6 +330,23 @@ class TestVariation:
         t = coupled_paths_256.grid.nodes
         exact = (np.exp(a * t) - 1.0) / a
         assert np.allclose(y.X[0], exact, atol=5e-3)
+
+    @pytest.mark.parametrize("name", ["lq", "lq_two_drivers", "nonlinear"])
+    def test_direct_matches_node_loop_bitwise(self, name, coupled_paths_256):
+        spec = LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3)
+        if name == "lq":
+            model, paths = lq_model(spec), coupled_paths_256
+        elif name == "lq_two_drivers":
+            model = lq_model(spec, independent_bm_scenario())
+            paths = fbm_from_kernel(generate_bm(TimeGrid(1.0, 128), 2, 500, seed=9), 0.75)
+        else:
+            model, paths = nonlinear_lemma_model(), coupled_paths_256
+        u = ControlProcess.constant(0.1)
+        lin = linearize(model, euler_mixed(model, u, 0.5, paths), u)
+        t = paths.grid.nodes
+        v = np.sin(3 * t) + 0.1 * paths.B[:, 0]
+        assert np.array_equal(variation_direct(lin, v, paths).X,
+                              variation_reference(lin, v, paths))
 
     def test_direct_vs_explicit_refinement(self, coupled_paths_fine):
         model = make_model(b=lambda t, x, u: -x + u, s=lambda t, x, u: 0.2 * x + 0.3 * u,
