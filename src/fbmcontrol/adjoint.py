@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (RegressionError, UnsupportedModelError,
                      UnsupportedRegimeError)
-from .fbm import PathSet, kernel_weights
+from .fbm import PathSet, kernel_subdiagonal
 from .sde import ControlProcess, CoefficientModel, Linearization, StatePath, \
     euler_mixed, evaluate_along, fundamental_phi, fundamental_psi, linearize
 
@@ -342,7 +342,7 @@ def estimate_q_bump(prob: AdjointProblem, est: AdjointEstimate,
     grid = paths.grid
     if h is None:
         h = 1e-3 * np.sqrt(grid.dt)
-    w_diag = np.diagonal(kernel_weights(grid, paths.hurst), offset=-1)  # W[k+1, k]
+    w_diag = kernel_subdiagonal(grid, paths.hurst)  # W[k+1, k]
     n_paths, n_nodes = prob.x.X.shape
     reg = est.regression
     # node k's bump lands on node k+1: regression nodes 1.., then the terminal node

@@ -20,10 +20,11 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn, hyp2f1, roots_jacobi
+from scipy.special import gamma as gamma_fn, roots_jacobi
 
 from .errors import DomainError, FactorizationError, GridMismatchError
 from .rng import SubstreamSampler
@@ -37,6 +38,7 @@ __all__ = [
     "kernel_z",
     "kernel_z_closed",
     "kernel_weights",
+    "kernel_subdiagonal",
     "generate_bm",
     "fbm_from_kernel",
     "fbm_from_cholesky",
@@ -198,17 +200,69 @@ def kernel_z(t: float, s: float, h) -> float:
                  - (H - 0.5) * s ** (0.5 - H) * inner)
 
 
-def _kernel_smooth(t, s, H):
-    """Z_H(t,s) / (t-s)^{H-1/2}: the cofactor of the diagonal singularity.
+KERNEL_SERIES_TERMS = 61  # terms of each 2F1 series in _smooth_factor
 
-    Vectorized; the inner integral is resolved in closed form through the
-    Gauss hypergeometric function.
+
+def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_n coef[n] x^n by in-place Horner steps."""
+    acc = np.full_like(x, coef[-1])
+    for cn in coef[-2::-1]:
+        acc *= x
+        acc += cn
+    return acc
+
+
+def _smooth_factor(H: float):
+    """R(t, s) = Z_H(t, s) / (t-s)^{H-1/2}, the cofactor of the diagonal singularity.
+
+    Returns a vectorized callable of (t, s), 0 < s < t.  With a = H - 1/2,
+    b = H + 1/2, r = s/t and c = (t-s)/t, the inner integral of Z_H is
+    F(c) = 2F1(2H, b; b+1; c) and R = kappa_H (r^{-a} - (a/b) r^a c F(c)).
+    R is evaluated by one of two power series, each in a variable formed
+    directly from t and s, so neither c nor r is ever taken as one minus
+    the other:
+
+    * c <= 1/2, the Gauss series: F = sum_n (2H)_n/n! b/(b+n) c^n;
+    * c > 1/2, the connection formula of 2F1 about c = 1 (DLMF 15.8):
+      F = A c^{-b} + b/(2H-1) r^{1-2H} G(r) with
+      A = Gamma(b+1) Gamma(1-2H) / Gamma(b+1-2H) and
+      G(r) = 2F1(3/2-H, 1; 2-2H; r) = sum_n (3/2-H)_n/(2-2H)_n r^n.
+      Folded into R, (a/b) b/(2H-1) = 1/2 and kappa_H (a/b) A = -H/kappa_H, so
+      R = r^{-a} (kappa_H - (kappa_H/2) c G(r)) + (H/kappa_H) (r/c)^a, and
+      nothing blows up as H -> 1/2, where Gamma(1-2H) and b/(2H-1) do.
+
+    Both series are summed to ``KERNEL_SERIES_TERMS`` = 61 terms by
+    Horner's rule.  At the split c = r = 1/2, for every H in (1/2, 1), the
+    n-th Gauss term is at most (n+1) 2^{-n} times the first and the n-th
+    term of G at most n 2^{1-n} times the second, so both tails past 61
+    terms are below 2^{-53} of the sum.  The coefficients are computed
+    here, once per call, never at import.
     """
     a = H - 0.5
     kH = kappa_h(H)
-    c = (t - s) / t
-    F = hyp2f1(2 * H, a + 1.0, a + 2.0, c)
-    return kH * ((t / s) ** a - (a / (a + 1.0)) * s ** a * (t - s) / t ** (a + 1.0) * F)
+    j = np.arange(KERNEL_SERIES_TERMS - 1.0)
+    n = np.arange(KERNEL_SERIES_TERMS)
+    gauss = np.cumprod(np.r_[kH * a, (2 * H + j) / (j + 1)]) / (H + 0.5 + n)
+    conn = np.cumprod(np.r_[0.5 * kH, (1.5 - H + j) / (2 - 2 * H + j)])
+    h_over_k = H / kH
+
+    def R(t, s):
+        t, s = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                   np.asarray(s, dtype=float))
+        r = s / t
+        c = (t - s) / t
+        out = np.empty(r.shape)
+        near = c <= 0.5
+        rn, cn = r[near], c[near]
+        ra = rn ** a
+        out[near] = kH / ra - ra * cn * _horner(gauss, cn)
+        far = ~near
+        rf, cf = r[far], c[far]
+        out[far] = ((kH - cf * _horner(conn, rf)) / rf ** a
+                    + h_over_k * (rf / cf) ** a)
+        return out
+
+    return R
 
 
 def kernel_z_closed(t, s, h) -> np.ndarray | float:
@@ -218,7 +272,7 @@ def kernel_z_closed(t, s, h) -> np.ndarray | float:
     s = np.asarray(s, dtype=float)
     if np.any(~(0 < s)) or np.any(~(s < t)):
         raise DomainError("kernel requires 0 < s < t")
-    out = _kernel_smooth(t, s, H) * (t - s) ** (H - 0.5)
+    out = _smooth_factor(H)(t, s) * (t - s) ** (H - 0.5)
     return float(out) if out.ndim == 0 else out
 
 
@@ -227,6 +281,25 @@ KERNEL_BLOCK_ROWS = 16  # rows per unit of work when a table is built or grown
 
 _unit_tables: dict[float, np.ndarray] = {}  # H -> unit-step table, rows 0..n
 _unit_tables_lock = threading.Lock()
+
+
+class _CellRules(NamedTuple):
+    """R and the four product-quadrature rules of one H, built once per growth."""
+
+    H: float
+    R: Callable
+    single: tuple[np.ndarray, np.ndarray]    # k = 1: Gauss-Jacobi (a, -a)
+    first: tuple[np.ndarray, np.ndarray]     # first cell: Gauss-Jacobi (0, -a)
+    diagonal: tuple[np.ndarray, np.ndarray]  # diagonal cell: Gauss-Jacobi (a, 0)
+    interior: tuple[np.ndarray, np.ndarray]  # Gauss-Legendre
+
+
+def _cell_rules(H: float) -> _CellRules:
+    a = H - 0.5
+    return _CellRules(H, _smooth_factor(H), roots_jacobi(KERNEL_ORDER, a, -a),
+                      roots_jacobi(KERNEL_ORDER, 0.0, -a),
+                      roots_jacobi(KERNEL_ORDER, a, 0.0),
+                      np.polynomial.legendre.leggauss(KERNEL_ORDER))
 
 
 def _fixed_sum(f: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -241,7 +314,7 @@ def _fixed_sum(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unit_rows(H: float, k0: int, k1: int) -> np.ndarray:
+def _unit_rows(rules: _CellRules, k0: int, k1: int) -> np.ndarray:
     """Rows k0 <= k < k1 of the unit-step table, shape (k1 - k0, k1 - 1).
 
     On the grid dt = 1, t_k = k, entry (k, i) is the average of Z_H(k, .)
@@ -250,40 +323,41 @@ def _unit_rows(H: float, k0: int, k1: int) -> np.ndarray:
     row 1 use Gauss-Jacobi rules that integrate the end-point power
     singularities in closed form.
     """
-    a = H - 0.5
+    a = rules.H - 0.5
+    R = rules.R
     rows = np.zeros((k1 - k0, max(k1 - 1, 0)))
     if k1 <= 1:
         return rows
     if k0 <= 1:
         # k = 1: single cell with both end-point powers
-        x1, w1 = roots_jacobi(KERNEL_ORDER, a, -a)
+        x1, w1 = rules.single
         s1 = (x1 + 1) / 2
-        g1 = s1 ** a * (1 - s1) ** (-a) * _kernel_smooth(1.0, s1, H) * (1 - s1) ** a
+        g1 = s1 ** a * (1 - s1) ** (-a) * R(1.0, s1) * (1 - s1) ** a
         rows[1 - k0, 0] = _fixed_sum(g1, w1) / 2
     ks = np.arange(max(k0, 2), k1)
     r = ks - k0
     t = ks.astype(float)[:, None]
 
     # first cell: integrate the s^{-a} start-up factor exactly
-    x0, w0 = roots_jacobi(KERNEL_ORDER, 0.0, -a)
+    x0, w0 = rules.first
     s0 = ((x0 + 1) / 2)[None, :]
-    g = s0 ** a * _kernel_smooth(t, s0, H) * (t - s0) ** a
+    g = s0 ** a * R(t, s0) * (t - s0) ** a
     rows[r, 0] = 0.5 ** (1 - a) * _fixed_sum(g, w0)
 
     # diagonal cell: integrate the (t-s)^a factor exactly against smooth R
-    xd, wd = roots_jacobi(KERNEL_ORDER, a, 0.0)
+    xd, wd = rules.diagonal
     sd = (ks - 1).astype(float)[:, None] + ((xd + 1) / 2)[None, :]
-    rows[r, ks - 1] = 0.5 ** (1 + a) * _fixed_sum(_kernel_smooth(t, sd, H), wd)
+    rows[r, ks - 1] = 0.5 ** (1 + a) * _fixed_sum(R(t, sd), wd)
 
     # interior cells 1 <= i <= k - 2: plain Gauss-Legendre on Z (smooth there)
     kk, ii = np.meshgrid(ks, np.arange(1, k1 - 2), indexing="ij")
     mask = ii <= kk - 2
     if mask.any():
         k_f, i_f = kk[mask], ii[mask]
-        xg, wg = np.polynomial.legendre.leggauss(KERNEL_ORDER)
+        xg, wg = rules.interior
         tk = k_f.astype(float)[:, None]
         s = i_f.astype(float)[:, None] + ((xg + 1) / 2)[None, :]
-        z = _kernel_smooth(tk, s, H) * (tk - s) ** a
+        z = R(tk, s) * (tk - s) ** a
         rows[k_f - k0, i_f] = _fixed_sum(z, wg) / 2
     return rows
 
@@ -297,9 +371,10 @@ def _unit_table(H: float, n_steps: int) -> np.ndarray:
 
     Only rows the table does not hold yet are computed, in blocks of
     ``KERNEL_BLOCK_ROWS`` rows, largest first, on one thread per available
-    CPU (``hyp2f1`` and the power ufuncs release the GIL).  Every row depends
-    only on (k, H), so the table is the same for any thread count, block
-    size and growth history.
+    CPU, under one lock; the blocks share one set of ``_cell_rules``.  The
+    series and power ufuncs release the GIL, which is held only between
+    numpy calls.  Every row depends only on (k, H), so the table is the same
+    for any thread count, block size and growth history.
     """
     with _unit_tables_lock:
         w = _unit_tables.get(H)
@@ -309,12 +384,13 @@ def _unit_table(H: float, n_steps: int) -> np.ndarray:
         grown = np.zeros((n_steps + 1, n_steps))
         if w is not None:
             grown[:have, :have - 1] = w
+        rules = _cell_rules(H)
         blocks = [(k0, min(k0 + KERNEL_BLOCK_ROWS, n_steps + 1))
                   for k0 in range(have, n_steps + 1, KERNEL_BLOCK_ROWS)]
 
         def fill(block):
             k0, k1 = block
-            grown[k0:k1, :k1 - 1] = _unit_rows(H, k0, k1)
+            grown[k0:k1, :k1 - 1] = _unit_rows(rules, k0, k1)
 
         with ThreadPoolExecutor(max_workers=_kernel_threads()) as pool:
             list(pool.map(fill, blocks[::-1]))  # re-raises a failed block
@@ -338,6 +414,17 @@ def kernel_weights(grid: TimeGrid, h) -> np.ndarray:
     W = grid.dt ** (H - 0.5) * _unit_table(H, n)[:n + 1, :n]
     W.setflags(write=False)
     return W
+
+
+def kernel_subdiagonal(grid: TimeGrid, h) -> np.ndarray:
+    """The first subdiagonal W[k+1, k], k = 0..n-1, of ``kernel_weights``.
+
+    Scales only those n entries of the unit-step table, entry for entry the
+    same multiply as ``kernel_weights``, so the values are bitwise equal.
+    """
+    H = _hval(h)
+    n = int(grid.n_steps)
+    return grid.dt ** (H - 0.5) * np.diagonal(_unit_table(H, n), offset=-1)[:n]
 
 
 def generate_bm(grid: TimeGrid, m: int, n_paths: int, seed: int,

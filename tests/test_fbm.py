@@ -1,7 +1,10 @@
 """Generators and kernels against the analytic covariance law."""
 
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +14,64 @@ from fbmcontrol import fbm
 from fbmcontrol.errors import DomainError, GridMismatchError
 from fbmcontrol.fbm import (Hurst, PathSet, TimeGrid, coarsen, fbm_covariance,
                             fbm_from_cholesky, fbm_from_kernel, generate_bm,
-                            kappa_h, kernel_weights, kernel_z, kernel_z_closed)
+                            kappa_h, kernel_subdiagonal, kernel_weights, kernel_z,
+                            kernel_z_closed)
 
 # frozen via an independent high-precision (mpmath) evaluation
 KAPPA_H_075 = 1.0696446350319903
 KAPPA_H_06 = 1.0760051841318072
 KAPPA_H_09 = 0.81122064814335251
 KERNEL_Z_1_05_075 = 0.93759196369805723
+
+# R(1, r) = Z_H(1, r) / (1 - r)^{H-1/2} to 20 digits, generated once with
+# mpmath 1.3.0 at r = mpf(<the double r>), H = mpf(<the double H>):
+#   mp.dps = 40; a = H - 0.5; b = a + 1
+#   kH = sqrt(2*H*gamma(1.5 - H) / (gamma(b)*gamma(2 - 2*H)))
+#   kH * (r**-a - a/b * r**a * (1 - r) * hyp2f1(2*H, b, b + 1, 1 - r))
+# (agrees with mpmath.quad of the inner integral of Z_H to 25 digits).
+# r >= 1/2 is the Gauss-series side of the split, r < 1/2 the connection side.
+SMOOTH_FACTOR_REFS = {
+    0.51: [(1e-07, "1.023070744552555904"), (0.0001, "1.0142217194552216632"),
+           (0.01, "1.0110081765199763506"), (0.1, "1.0101792323059708564"),
+           (0.3, "1.0099447673151022933"), (0.45, "1.0098804155146569324"),
+           (0.4999, "1.0098654705979530478"), (0.5, "1.009865442828758059"),
+           (0.5001, "1.0098654150675864635"), (0.55, "1.009852489484491538"),
+           (0.7, "1.009822124424493954"), (0.9, "1.0097939572522503835"),
+           (0.99, "1.0097841486644717252"), (0.9999, "1.0097831513049285198"),
+           (0.9999999, "1.0097831413163223206")],
+    0.75: [(1e-07, "30.087736290254125961"), (0.0001, "5.4180742485502292403"),
+           (0.01, "1.9050442319975913099"), (0.1, "1.3057711898347387598"),
+           (0.3, "1.160822102880769991"), (0.45, "1.1234956259259760117"),
+           (0.4999, "1.1150067403920104382"), (0.5, "1.1149910341991026238"),
+           (0.5001, "1.1149753327959602346"), (0.55, "1.1076924326730509082"),
+           (0.7, "1.0908096880912154195"), (0.9, "1.0754553825777476251"),
+           (0.99, "1.0701837273719026748"), (0.9999, "1.0696499836786021856"),
+           (0.9999999, "1.0696446403802139198")],
+    0.95: [(1e-07, "426.36439415623282048"), (0.0001, "19.061328170529781783"),
+           (0.01, "2.4881930302719677379"), (0.1, "1.0326776713968183198"),
+           (0.3, "0.75705457425055739075"), (0.45, "0.69210824469046180367"),
+           (0.4999, "0.67773271673760283616"), (0.5, "0.67770626125896743751"),
+           (0.5001, "0.67767981437856764484"), (0.55, "0.66547044602618375147"),
+           (0.7, "0.63762480023616203776"), (0.9, "0.61288911080450245186"),
+           (0.99, "0.60453464279036331448"), (0.9999, "0.60369287663173751883"),
+           (0.9999999, "0.60368445359105306281")],
+}
+
+# W[k, 0] on (T 2, n 300, H 0.9), the same quadrature (the double-precision
+# roots_jacobi(4, 0, -a) nodes and weights; roots_jacobi(4, a, -a) for k = 1)
+# summed at mp.dps = 40 with R from the hyp2f1 formula above and
+# dt = mpf(2.0 / 300):
+#   k = 1:  dt**a * sum(w * s**a * (1-s)**-a * R(1, s) * (1-s)**a) / 2
+#   k >= 2: dt**a * 0.5**(1-a) * sum(w * s**a * R(k, s) * (k-s)**a)
+FIRST_CELL_T2_N300_H09 = [
+    (1, "0.1033307747881468617"), (2, "0.19060517710401137047"),
+    (3, "0.25849530388919417784"), (10, "0.62960166529595005878"),
+    (30, "1.4495870714588997043"), (100, "3.7010803612469146366"),
+    (150, "5.0932771183759870771"), (200, "6.393131877271130329"),
+    (250, "7.6285025541663892968"), (266, "8.0129203050421107777"),
+    (279, "8.321843377253369537"), (299, "8.7915440636050140069"),
+    (300, "8.8148603078600062391"),
+]
 
 
 class TestHurstAndGrid:
@@ -235,6 +289,19 @@ class TestKernelTable:
         with pytest.raises(ValueError):
             W[2, 1] = 0.0
 
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_subdiagonal_is_bitwise_the_weights_diagonal(self, T, n):
+        grid = TimeGrid(T, n)
+        sub = kernel_subdiagonal(grid, 0.75)
+        assert sub.shape == (n,)
+        assert np.array_equal(sub, np.diagonal(kernel_weights(grid, 0.75), -1))
+
+    def test_first_cells_match_40_digit_quadrature(self):
+        W = kernel_weights(TimeGrid(2.0, 300), 0.9)
+        for k, ref in FIRST_CELL_T2_N300_H09:
+            assert abs(W[k, 0] - float(ref)) <= 1e-14 * float(ref)
+
     @pytest.mark.parametrize("H", [0.6, 0.9])
     def test_interior_cells_are_legendre_cell_averages(self, H):
         grid = TimeGrid(1.0, 64)
@@ -246,6 +313,68 @@ class TestKernelTable:
                 s = t[i] + grid.dt * (x + 1) / 2
                 avg = 0.5 * np.dot(w, kernel_z_closed(t[k], s, H))
                 assert abs(W[k, i] - avg) <= 1e-14 * abs(avg)
+
+
+class TestSmoothFactor:
+    @pytest.mark.parametrize("H", sorted(SMOOTH_FACTOR_REFS))
+    def test_matches_40_digit_references(self, H):
+        R = fbm._smooth_factor(H)
+        r = np.array([r for r, _ in SMOOTH_FACTOR_REFS[H]])
+        ref = np.array([float(v) for _, v in SMOOTH_FACTOR_REFS[H]])
+        assert np.all(np.abs(R(1.0, r) - ref) <= 1e-14 * ref)
+
+    def test_small_s_over_t(self):
+        # t = 1000, s = 0.002, H 0.9: c = (t - s)/t is within 2e-6 of one,
+        # where forming r as 1 - c would lose about ten digits
+        R = fbm._smooth_factor(0.9)
+        assert abs(R(1000.0, 0.002) - 77.219688193861183123) <= 1e-14 * 77.22
+
+    @pytest.mark.parametrize("H", [0.5 + 1e-9, 0.51, 0.75, 0.95, 1 - 1e-6])
+    def test_term_count_reaches_the_split(self, H, monkeypatch):
+        # at c = r = 1/2 both series are summed to within an ulp of R
+        r = np.array([0.5, np.nextafter(0.5, 0.0)])
+        R = fbm._smooth_factor(H)(1.0, r)
+        monkeypatch.setattr(fbm, "KERNEL_SERIES_TERMS", 200)
+        R_long = fbm._smooth_factor(H)(1.0, r)
+        assert np.all(np.abs(R - R_long) <= np.spacing(np.abs(R_long)))
+
+    def test_scalar_and_broadcast_inputs(self):
+        R = fbm._smooth_factor(0.75)
+        assert R(1.0, 0.3).shape == ()
+        grid = R(np.array([[1.0], [2.0]]), np.array([0.2, 0.9]))
+        assert grid.shape == (2, 2)
+        assert grid[1, 1] == R(2.0, 0.9)
+
+
+class TestLazyImport:
+    def test_import_builds_nothing(self):
+        # a profiler records every Python function called during the import
+        probe = (
+            "import sys, threading\n"
+            "import numpy, scipy.integrate, scipy.special\n"
+            "names = {'_smooth_factor', '_cell_rules', '_unit_rows', '_unit_table'}\n"
+            "called = set()\n"
+            "def hook(frame, event, arg):\n"
+            "    if event == 'call' and frame.f_code.co_name in names:\n"
+            "        called.add(frame.f_code.co_name)\n"
+            "sys.setprofile(hook)\n"
+            "import fbmcontrol\n"
+            "from fbmcontrol import fbm\n"
+            "sys.setprofile(None)\n"
+            "print(len(fbm._unit_tables), sorted(called))\n"
+            "sys.setprofile(hook)\n"
+            "threading.setprofile(hook)\n"
+            "fbm.kernel_weights(fbm.TimeGrid(1.0, 4), 0.75)\n"
+            "sys.setprofile(None)\n"
+            "print(len(fbm._unit_tables), sorted(called))\n"
+        )
+        src = str(Path(fbm.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.splitlines() == [
+            "0 []", "1 ['_cell_rules', '_smooth_factor', '_unit_rows', '_unit_table']"]
 
 
 class TestCholeskyGenerator:
