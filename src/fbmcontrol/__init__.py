@@ -7,16 +7,15 @@ from .errors import (BlowupError, DomainError, FactorizationError,
 from .fbm import (Hurst, PathSet, TimeGrid, coarsen, fbm_covariance,
                   fbm_from_cholesky, fbm_from_kernel, generate_bm, kappa_h,
                   kernel_weights, kernel_z, kernel_z_closed)
-from .transforms import (GridFunction, gamma_star, isometry_check, kappa_1,
-                         phi_1h, phi_kernel, phi_norm_sq, transfer_check)
+from .transforms import (GridFunction, gamma_star, isometry_check, phi_kernel,
+                         phi_norm_sq, transfer_check)
 from .sde import (CoefficientModel, ControlProcess, StatePath, euler_mixed,
                   discrete_alpha_norm, fundamental_phi, fundamental_psi,
                   lemma1_experiment, linearize, variation_direct,
                   variation_explicit)
 from .adjoint import (AdjointEstimate, AdjointProblem, RegressionBasis,
-                      adjoint_problem, bsde_residual, constraint_residual_gamma,
-                      estimate_p, estimate_q_bump, estimate_q_formula,
-                      malliavin_dx, stationarity_residual)
+                      adjoint_problem, bsde_residual, estimate_p,
+                      estimate_q_bump, estimate_q_formula, stationarity_residual)
 from .lq import (LqSpec, PicardOptions, convexity_check, direct_scenario,
                  independent_bm_scenario, lq_adjoint_problem, lq_cost, lq_model,
                  lq_picard_solve, optimality_sweep, random_adapted_directions,

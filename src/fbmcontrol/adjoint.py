@@ -34,8 +34,6 @@ __all__ = [
     "estimate_p",
     "estimate_q_formula",
     "estimate_q_bump",
-    "malliavin_dx",
-    "constraint_residual_gamma",
     "stationarity_residual",
     "bsde_residual",
     "ResidualReport",
@@ -298,19 +296,6 @@ def estimate_q_formula(prob: AdjointProblem, est: AdjointEstimate) -> AdjointEst
     return est
 
 
-def malliavin_dx(prob: AdjointProblem, j: int, r: int, s: int) -> np.ndarray:
-    """Closed-form D_r^j X(s) = Phi(s) Psi(r) sigma_j(r) for s >= r, 0 below.
-
-    Valid for linear-in-state coefficient models only.
-    """
-    if not prob.linear_in_state:
-        raise UnsupportedModelError("closed-form Malliavin derivative needs a "
-                                    "linear-in-state model")
-    if s < r:
-        return np.zeros(prob.x.n_paths)
-    return prob.phi.X[:, s] * prob.psi.X[:, r] * prob.sigma_vals[j, :, r]
-
-
 @dataclass
 class BumpEstimate:
     """Bump-oracle q values with standard errors of their per-node means.
@@ -415,16 +400,6 @@ def _report(t, field: np.ndarray) -> ResidualReport:
         t=np.asarray(t), mean=field.mean(axis=0),
         stderr=field.std(axis=0, ddof=1) / np.sqrt(n),
         mean_sq=(field ** 2).mean(axis=0))
-
-
-def constraint_residual_gamma(prob: AdjointProblem, est: AdjointEstimate) -> ResidualReport:
-    """Residual sum_j gamma_u^j(t) p(t); identically zero when gamma_u == 0.
-
-    Reported on the acting nodes 0..n-1 (left-point convention: the terminal
-    control value enters neither the dynamics nor the cost).
-    """
-    field = (prob.lin.gu[:, :, :-1] * est.p_raw[None, :, :-1]).sum(axis=0)
-    return _report(prob.paths.grid.nodes[:-1], field)
 
 
 def stationarity_residual(prob: AdjointProblem, est: AdjointEstimate) -> ResidualReport:

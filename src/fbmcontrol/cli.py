@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,8 @@ from .lq import (LqSpec, PicardOptions, convexity_check, direct_scenario,
                  independent_bm_scenario, lq_picard_solve, optimality_sweep,
                  riccati_oracle, random_adapted_directions)
 from .sde import ControlProcess
-from .verify import run_suite, suite_names
+from .verify import (CheckResult, kernel_terminal_variance, run_suite,
+                     suite_names)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -229,25 +230,14 @@ def cmd_paths(cfg: dict, out: Path, workers: int, run: Progress) -> int:
     paths = generate_paths(cfg, workers)
     paths.to_csv(out / "paths.csv")
     # covariance validation on the generated bundle
-    n = paths.n_paths
-    var_T = float(paths.BH[:, 0, -1].var(ddof=1))
-    var_true = cfg["T"] ** (2 * cfg["hurst"])
-    se = var_T * np.sqrt(2.0 / n)
-    z_var = abs(var_T - var_true) / se
     inc_var = float(paths.dB.var(ddof=1)) * cfg["n_steps"] / cfg["T"]
-    z_inc = abs(inc_var - 1.0) / np.sqrt(2.0 / (n * cfg["n_steps"]))
-    checks = [
-        ("bh_terminal_variance_z", z_var, se),
-        ("bm_increment_variance_z", z_inc, 0.0),
-    ]
-    ok = z_var <= 4.0 and z_inc <= 4.0
-    with open(out / "covariance_report.csv", "w", newline="") as fh:
-        for line in _report_header(cfg):
-            fh.write(line + "\n")
-        fh.write("name,value,stderr\n")
-        for name, v, s in checks:
-            fh.write(f"{name},{v:.17g},{s:.17g}\n")
-    return EXIT_OK if ok else EXIT_CHECK_FAILURE
+    z_inc = abs(inc_var - 1.0) / np.sqrt(2.0 / (paths.n_paths * cfg["n_steps"]))
+    checks = [replace(c, name="bh_terminal_variance_z")
+              for c in kernel_terminal_variance(paths)]
+    checks.append(CheckResult("bm_increment_variance_z", z_inc, 0.0, 4.0,
+                              z_inc <= 4.0))
+    _write_checks(out / "covariance_report.csv", cfg, checks)
+    return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILURE
 
 
 def cmd_verify(cfg: dict, suite: str, out: Path, run: Progress) -> int:
@@ -370,16 +360,17 @@ def main(argv=None) -> int:
                     "suites, and the linear-quadratic solver.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, workers=True):
         p.add_argument("--config", required=True, help="flat JSON config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker count (results are independent of it)")
+        if workers:
+            p.add_argument("--workers", type=int, default=1,
+                           help="worker count (results are independent of it)")
 
     add_common(sub.add_parser("paths", help="generate coupled B/B^H paths"))
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("suite", choices=suite_names())
-    add_common(pv)
+    add_common(pv, workers=False)  # the suites run in one process
     add_common(sub.add_parser("solve-lq", help="solve the LQ problem end to end"))
 
     try:
@@ -395,7 +386,7 @@ def main(argv=None) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.workers < 1:
+    if getattr(args, "workers", 1) < 1:
         print("workers must be >= 1", file=sys.stderr)
         return EXIT_USAGE
 

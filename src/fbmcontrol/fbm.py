@@ -138,31 +138,6 @@ class PathSet:
                     fh.write("".join([f"{p},{d},{kt}{x:.17g},{y:.17g}\n"
                                       for kt, x, y in zip(node_t, b, bh)]))
 
-    FORMAT_VERSION = 1
-
-    def save_npz(self, path) -> None:
-        np.savez_compressed(
-            path, version=self.FORMAT_VERSION, horizon=self.grid.horizon,
-            n_steps=self.grid.n_steps, m=self.m, n_paths=self.n_paths,
-            seed=self.seed, hurst=self.hurst.value if self.hurst else np.nan,
-            dB=self.dB if self.dB is not None else np.empty(0),
-            B=self.B if self.B is not None else np.empty(0),
-            BH=self.BH if self.BH is not None else np.empty(0))
-
-    @classmethod
-    def load_npz(cls, path) -> "PathSet":
-        with np.load(path) as z:
-            if int(z["version"]) != cls.FORMAT_VERSION:
-                raise ValueError(f"unsupported path-set format version {z['version']}")
-            grid = TimeGrid(float(z["horizon"]), int(z["n_steps"]))
-            h = float(z["hurst"])
-            return cls(
-                grid, int(z["m"]), int(z["n_paths"]), int(z["seed"]),
-                None if np.isnan(h) else Hurst(h),
-                z["dB"].copy() if z["dB"].size else None,
-                z["B"].copy() if z["B"].size else None,
-                z["BH"].copy() if z["BH"].size else None)
-
 
 def fbm_covariance(t, s, h) -> np.ndarray | float:
     """Covariance (1/2)(t^{2H} + s^{2H} - |t-s|^{2H}) of fractional BM."""

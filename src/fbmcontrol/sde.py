@@ -67,42 +67,6 @@ class CoefficientModel:
             if len(getattr(self, name)) != self.m:
                 raise ValueError(f"{name} must list {self.m} per-driver callables")
 
-    def validate_partials(self, seed: int = 0, n_samples: int = 64,
-                          step: float = 1e-5, rtol: float = 1e-4,
-                          box: float = 2.0) -> float:
-        """Central finite-difference consistency of every declared partial.
-
-        Samples (t, x, u) uniformly in [0,1] x [-box, box]^2 and returns the
-        worst relative error; raises if it exceeds ``rtol``.
-        """
-        rng = np.random.default_rng(seed)
-        t = rng.uniform(0.05, 1.0, n_samples)
-        x = rng.uniform(-box, box, n_samples)
-        u = rng.uniform(-box, box, n_samples)
-        pairs = [("b_x", self.b, self.b_x, "x"), ("b_u", self.b, self.b_u, "u")]
-        for j in range(self.m):
-            pairs += [(f"sigma_x[{j}]", self.sigma[j], self.sigma_x[j], "x"),
-                      (f"sigma_u[{j}]", self.sigma[j], self.sigma_u[j], "u"),
-                      (f"gamma_x[{j}]", self.gamma[j], self.gamma_x[j], "x"),
-                      (f"gamma_u[{j}]", self.gamma[j], self.gamma_u[j], "u")]
-        worst = 0.0
-        for name, fn, dfn, wrt in pairs:
-            for ti, xi, ui in zip(t, x, u):
-                if wrt == "x":
-                    fd = (fn(ti, xi + step, ui) - fn(ti, xi - step, ui)) / (2 * step)
-                else:
-                    fd = (fn(ti, xi, ui + step) - fn(ti, xi, ui - step)) / (2 * step)
-                declared = dfn(ti, xi, ui)
-                err = abs(declared - fd) / max(1.0, abs(fd))
-                if err > worst:
-                    worst = err
-                if err > rtol:
-                    raise ValueError(
-                        f"partial {name} disagrees with finite difference at "
-                        f"(t={ti:.3f}, x={xi:.3f}, u={ui:.3f}): "
-                        f"declared {declared:.6g}, fd {fd:.6g}")
-        return worst
-
 
 class ControlProcess:
     """Admissible control: per-path node values or a feedback rule u(t, x).
@@ -148,11 +112,6 @@ class ControlProcess:
                     f"control shape {self.values.shape} != state shape {x.X.shape}")
             return self.values
         return evaluate_along([self.feedback], x.grid.nodes, x.X)[0]
-
-    def l2_norm_sq_mean(self, grid: TimeGrid, x: "StatePath" = None) -> float:
-        """Mean over paths of the left-point sum of u^2 dt (square-integrability)."""
-        vals = self.values if self.values is not None else self.materialize(x)
-        return float((vals[:, :-1] ** 2).sum(axis=1).mean() * grid.dt)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Implements the singular kernel phi, the weighted norm ||.||_T it induces, the
 transfer operator that rewrites deterministic integrals against B^H as Ito
-integrals against B, and the auxiliary kernel phi_{1,H}.  All singular powers
-are integrated in closed form per cell against piecewise-linear data (product
-integration); naive rules lose accuracy or diverge near the singularities.
+integrals against B.  All singular powers are integrated in closed form per
+cell against piecewise-linear data (product integration); naive rules lose
+accuracy or diverge near the singularities.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
-from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, GridMismatchError
 from .fbm import PathSet, TimeGrid, _hval, kappa_h
@@ -26,8 +25,6 @@ __all__ = [
     "gamma_star_at",
     "transfer_check",
     "TransferReport",
-    "kappa_1",
-    "phi_1h",
     "isometry_check",
 ]
 
@@ -178,24 +175,6 @@ def transfer_check(f: GridFunction, paths: PathSet, dim: int = 0) -> TransferRep
     else:
         corr = float(np.corrcoef(lhs, rhs)[0, 1])
     return TransferReport(corr, float(lhs.var()), float(rhs.var()))
-
-
-def kappa_1(h) -> float:
-    """Constant 1 / (2H Gamma(H-1/2) Gamma(3/2-H))."""
-    H = _hval(h)
-    return float(1.0 / (2 * H * gamma_fn(H - 0.5) * gamma_fn(1.5 - H)))
-
-
-def phi_1h(s, t, h) -> np.ndarray | float:
-    """Kernel (2H^2(2H-1) kappa_1 / kappa_H) s^{1/2-H} |t-s|^{2H-2}."""
-    H = _hval(h)
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(s <= 0) or np.any(s == t):
-        raise DomainError("phi_1h requires s > 0 and s != t")
-    c = 2 * H ** 2 * (2 * H - 1) * kappa_1(H) / kappa_h(H)
-    out = c * s ** (0.5 - H) * np.abs(t - s) ** (2 * H - 2)
-    return float(out) if out.ndim == 0 else out
 
 
 def gamma_star_l2(gf: GridFunction, h) -> float:

@@ -1,7 +1,11 @@
-"""Named verification suites reused by the CLI and the acceptance tests.
+"""Checks of the paper's identities, shared by the CLI and the acceptance tests.
 
-Each suite returns a list of :class:`CheckResult`; a suite passes iff every
-check does.  Tolerances are pinned here, next to the checks that use them.
+Each check takes its inputs already built (a path bundle, an LqSpec, Hurst
+values, probe pairs) and returns a list of :class:`CheckResult`; its
+tolerances are pinned beside it.  A suite builds the CLI's bundles from the
+config and calls the checks; the acceptance criteria build their own bundles
+at their own scales and call the same checks.  A suite passes iff every
+check does.
 """
 
 from __future__ import annotations
@@ -9,19 +13,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 
 from .adjoint import (estimate_p, estimate_q_bump, estimate_q_formula,
                       bsde_residual)
-from .fbm import (Hurst, TimeGrid, coarsen, fbm_covariance, fbm_from_cholesky,
-                  fbm_from_kernel, generate_bm, kernel_z)
-from .lq import LqSpec, lq_model
+from .fbm import (PathSet, TimeGrid, _hval, coarsen, fbm_covariance,
+                  fbm_from_cholesky, fbm_from_kernel, generate_bm, kernel_z)
+from .lq import LqSpec, lq_adjoint_problem, lq_model
 from .sde import (ControlProcess, CoefficientModel, euler_mixed, fundamental_phi,
                   fundamental_psi, linearize, lemma1_experiment,
                   variation_direct, variation_explicit)
 from .transforms import GridFunction, isometry_check, transfer_check
-from scipy.integrate import quad
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "suite_names"]
+__all__ = ["CheckResult", "SUITES", "run_suite", "suite_names",
+           "kernel_sq_identity", "cholesky_covariance",
+           "kernel_terminal_variance", "cross_generator_variance", "isometry",
+           "transfer_refinement", "phi_psi_refinement",
+           "variation_gap_refinement", "lemma1", "q_formula_vs_bump",
+           "bsde_residual_checks", "nonlinear_lemma_model"]
+
+_HURSTS = (0.6, 0.75, 0.9)
 
 
 @dataclass(frozen=True)
@@ -32,27 +43,25 @@ class CheckResult:
     tolerance: float
     passed: bool
     detail: str = ""
+    levels: tuple = ()  # a refinement check's per-level values, coarse to fine
 
     def row(self) -> str:
         return f"{self.name},{self.value:.17g},{self.stderr:.17g}"
 
 
-def _check(name, value, tolerance, passed, stderr=0.0, detail=""):
+def _check(name, value, tolerance, passed, stderr=0.0, detail="", levels=()):
     return CheckResult(name, float(value), float(stderr), float(tolerance),
-                       bool(passed), detail)
+                       bool(passed), detail, tuple(levels))
 
 
 # ---------------------------------------------------------------------------
-# covariance suite: generators against the analytic law
+# generators against the analytic law
 
 
-def suite_covariance(hurst=0.75, n_steps=256, n_paths=20000, seed=12345,
-                     T=1.0, **_) -> list[CheckResult]:
-    grid = TimeGrid(T, n_steps)
+def kernel_sq_identity(hursts) -> list[CheckResult]:
+    """Quadrature identity int_0^t Z_H(t, s)^2 ds = t^{2H} within 1e-6."""
     out = []
-
-    # quadrature identity: int_0^t Z^2 ds = t^{2H}
-    for H in (0.6, 0.75, 0.9):
+    for H in hursts:
         for t in (0.25, 0.5, 1.0):
             val, _err = quad(lambda s: kernel_z(t, s, H) ** 2, 0, t,
                              epsabs=1e-13, epsrel=1e-10, limit=400,
@@ -60,73 +69,87 @@ def suite_covariance(hurst=0.75, n_steps=256, n_paths=20000, seed=12345,
             rel = abs(val - t ** (2 * H)) / t ** (2 * H)
             out.append(_check(f"kernel_sq_identity_H{H}_t{t}", rel, 1e-6,
                               rel <= 1e-6))
-
-    # Cholesky oracle: sample covariance at probe pairs within 4 stderr
-    ch = fbm_from_cholesky(grid, hurst, 1, n_paths, seed)
-    nodes = grid.nodes
-    probes = [(n_steps // 4, n_steps), (n_steps // 2, n_steps),
-              (n_steps // 4, n_steps // 2), (n_steps, n_steps)]
-    for (i, j) in probes:
-        x, y = ch.BH[:, 0, i], ch.BH[:, 0, j]
-        c_hat = float(np.mean(x * y))
-        c_true = fbm_covariance(nodes[i], nodes[j], hurst)
-        se = float(np.std(x * y, ddof=1) / np.sqrt(n_paths))
-        z = abs(c_hat - c_true) / se
-        out.append(_check(f"cholesky_cov_{i}_{j}", z, 4.0, z <= 4.0,
-                          stderr=se, detail=f"sample {c_hat:.5f} vs {c_true:.5f}"))
-
-    # kernel generator terminal variance within 4 stderr of T^{2H}
-    kp = fbm_from_kernel(generate_bm(grid, 1, n_paths, seed + 1), hurst)
-    bh_T = kp.BH[:, 0, -1]
-    var_hat = float(bh_T.var(ddof=1))
-    var_true = T ** (2 * float(Hurst(hurst).value if not isinstance(hurst, Hurst) else hurst.value))
-    se = var_hat * np.sqrt(2.0 / n_paths)
-    z = abs(var_hat - var_true) / se
-    out.append(_check("kernel_terminal_variance", z, 4.0, z <= 4.0, stderr=se,
-                      detail=f"sample {var_hat:.5f} vs {var_true:.5f}"))
-
-    # cross-generator marginal variance agreement (joint MC + discretization)
-    var_ch = float(ch.BH[:, 0, -1].var(ddof=1))
-    se_j = np.hypot(var_hat * np.sqrt(2.0 / n_paths), var_ch * np.sqrt(2.0 / n_paths))
-    gap = abs(var_hat - var_ch)
-    tol = 4 * se_j + 0.02 * var_true
-    out.append(_check("cross_generator_variance", gap, tol, gap <= tol,
-                      stderr=se_j))
     return out
 
 
-# ---------------------------------------------------------------------------
-# operators suite: isometry and transfer identity
-
-
-def suite_operators(n_steps=1024, n_paths=20000, seed=12345, T=1.0, **_) -> list[CheckResult]:
+def cholesky_covariance(paths: PathSet, probes) -> list[CheckResult]:
+    """Sample covariance of B^H at node pairs (i, j) within 4 stderr of the law."""
+    nodes = paths.grid.nodes
     out = []
-    grid = TimeGrid(T, n_steps)
-    fns = {"one": lambda t: np.ones_like(t), "t": lambda t: t,
-           "sin": lambda t: np.sin(2 * np.pi * t)}
-    for H in (0.6, 0.75, 0.9):
-        for name, fn in fns.items():
+    for (i, j) in probes:
+        x, y = paths.BH[:, 0, i], paths.BH[:, 0, j]
+        c_hat = float(np.mean(x * y))
+        c_true = fbm_covariance(nodes[i], nodes[j], paths.hurst)
+        se = float(np.std(x * y, ddof=1) / np.sqrt(paths.n_paths))
+        z = abs(c_hat - c_true) / se
+        out.append(_check(f"cholesky_cov_{i}_{j}", z, 4.0, z <= 4.0,
+                          stderr=se, detail=f"sample {c_hat:.5f} vs {c_true:.5f}"))
+    return out
+
+
+def _terminal_variance(paths: PathSet) -> tuple[float, float]:
+    """Sample variance of B^H_T and its normal-theory stderr."""
+    var_hat = float(paths.BH[:, 0, -1].var(ddof=1))
+    return var_hat, var_hat * np.sqrt(2.0 / paths.n_paths)
+
+
+def kernel_terminal_variance(paths: PathSet) -> list[CheckResult]:
+    """Sample variance of B^H at T within 4 stderr of T^{2H}."""
+    var_hat, se = _terminal_variance(paths)
+    var_true = paths.grid.horizon ** (2 * _hval(paths.hurst))
+    z = abs(var_hat - var_true) / se
+    return [_check("kernel_terminal_variance", z, 4.0, z <= 4.0, stderr=se,
+                   detail=f"sample {var_hat:.5f} vs {var_true:.5f}")]
+
+
+def cross_generator_variance(cholesky: PathSet, kernel: PathSet) -> list[CheckResult]:
+    """Terminal variances of the two generators agree within 4 joint stderr
+    plus 2% of T^{2H} (Monte Carlo and discretization error)."""
+    var_k, se_k = _terminal_variance(kernel)
+    var_ch, se_ch = _terminal_variance(cholesky)
+    se_j = np.hypot(se_k, se_ch)
+    gap = abs(var_k - var_ch)
+    tol = 4 * se_j + 0.02 * kernel.grid.horizon ** (2 * _hval(kernel.hurst))
+    return [_check("cross_generator_variance", gap, tol, gap <= tol,
+                   stderr=se_j)]
+
+
+# ---------------------------------------------------------------------------
+# operators: isometry and transfer identity
+
+_ISOMETRY_FNS = {"one": lambda t: np.ones_like(t), "t": lambda t: t,
+                 "sin": lambda t: np.sin(2 * np.pi * t)}
+
+
+def isometry(grid: TimeGrid, hursts) -> list[CheckResult]:
+    """int (Gamma* f)^2 dt = ||f||_T^2 within 1% for 1, t and sin(2 pi t)."""
+    out = []
+    for H in hursts:
+        for name, fn in _ISOMETRY_FNS.items():
             rep = isometry_check(GridFunction.from_callable(grid, fn), H)
             out.append(_check(f"isometry_H{H}_{name}", rep["rel_err"], 1e-2,
                               rep["rel_err"] <= 1e-2,
                               detail=f"lhs {rep['lhs']:.6f} rhs {rep['rhs']:.6f}"))
-    # transfer correlation >= 0.99 at 1024 and increasing under refinement
-    H = 0.75
-    fine = fbm_from_kernel(generate_bm(TimeGrid(T, 2048), 1, 4000, seed), H)
-    corrs = []
-    for n in (512, 1024, 2048):
-        p = coarsen(fine, 2048 // n)
-        f = GridFunction.from_callable(p.grid, lambda t: np.sin(2 * np.pi * t) + t)
-        corrs.append(transfer_check(f, p).correlation)
-    out.append(_check("transfer_corr_1024", corrs[1], 0.99, corrs[1] >= 0.99))
-    mono = corrs[0] < corrs[1] < corrs[2]
-    out.append(_check("transfer_corr_monotone", corrs[2] - corrs[0], 0.0, mono,
-                      detail=f"corrs {['%.5f' % c for c in corrs]}"))
     return out
 
 
+def transfer_refinement(fine: PathSet) -> list[CheckResult]:
+    """Transfer correlation on fine/4, fine/2 and fine steps: >= 0.99 at the
+    middle level and increasing under refinement."""
+    corrs = []
+    for fac in (4, 2, 1):
+        p = coarsen(fine, fac)
+        f = GridFunction.from_callable(p.grid, lambda t: np.sin(2 * np.pi * t) + t)
+        corrs.append(transfer_check(f, p).correlation)
+    mono = corrs[0] < corrs[1] < corrs[2]
+    return [_check(f"transfer_corr_{fine.grid.n_steps // 2}", corrs[1], 0.99,
+                   corrs[1] >= 0.99),
+            _check("transfer_corr_monotone", corrs[2] - corrs[0], 0.0, mono,
+                   detail=f"corrs {['%.5f' % c for c in corrs]}", levels=corrs)]
+
+
 # ---------------------------------------------------------------------------
-# variation suite: fundamental pair and the explicit variation formula
+# fundamental pair and the explicit variation formula
 
 
 def _gamma_only_model(c=0.3):
@@ -138,13 +161,13 @@ def _gamma_only_model(c=0.3):
         gamma_u=[zero], linear_in_state=True)
 
 
-def suite_variation(n_paths=4000, seed=12345, T=1.0, n_steps=1024, **_) -> list[CheckResult]:
-    out = []
-    # fundamental pair product defect, >= 1.8x decay per halving:
-    # fractional-dominant fixture (see ledger: Brownian diffusion terms cap
-    # Euler product defects at O(sqrt(dt)), below the 1.8 rate)
-    H = 0.95
-    fine = fbm_from_kernel(generate_bm(TimeGrid(T, 2048), 1, n_paths, seed), H)
+def phi_psi_refinement(fine: PathSet) -> list[CheckResult]:
+    """max |Phi Psi - 1| falls >= 1.8x per halving over three halvings.
+
+    Fractional-dominant fixture (gamma_x = 0.3, no Brownian terms): with
+    Brownian diffusion the Euler product defect is O(sqrt(dt)) and no
+    first-order scheme reaches the 1.8 rate.
+    """
     model = _gamma_only_model(0.3)
     u0 = ControlProcess.constant(0.0)
     errs = []
@@ -155,36 +178,33 @@ def suite_variation(n_paths=4000, seed=12345, T=1.0, n_steps=1024, **_) -> list[
         err = np.abs(fundamental_phi(lin, p).X * fundamental_psi(lin, p).X - 1).max()
         errs.append(err)
     ratios = [errs[i] / errs[i + 1] for i in range(3)]
-    out.append(_check("phi_psi_refinement_rate", min(ratios), 1.8,
-                      min(ratios) >= 1.8,
-                      detail=f"errors {['%.2e' % e for e in errs]}"))
+    return [_check("phi_psi_refinement_rate", min(ratios), 1.8,
+                   min(ratios) >= 1.8,
+                   detail=f"errors {['%.2e' % e for e in errs]}", levels=errs)]
 
-    # direct vs explicit variation: terminal mean-square gap decreasing
-    # (config n_steps sets the finest level; coarse grids still report rates)
-    H = 0.75
-    n_fine = max(256, int(n_steps))
-    fine = fbm_from_kernel(generate_bm(TimeGrid(T, n_fine), 1, n_paths, seed + 1), H)
-    spec = LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3)
-    lq = lq_model(spec)
+
+def variation_gap_refinement(fine: PathSet, spec: LqSpec) -> list[CheckResult]:
+    """Terminal mean-square gap between the direct and the explicit variation
+    decreases on fine/4, fine/2 and fine steps (u = 0, v = 1)."""
+    model = lq_model(spec)
     gaps = []
     for fac in (4, 2, 1):
         p = coarsen(fine, fac)
         u = ControlProcess.constant(0.0)
-        x = euler_mixed(lq, u, spec.x0, p)
-        lin = linearize(lq, x, u)
+        x = euler_mixed(model, u, spec.x0, p)
+        lin = linearize(model, x, u)
         v = np.ones_like(x.X)
         yd = variation_direct(lin, v, p)
         ye = variation_explicit(fundamental_phi(lin, p), fundamental_psi(lin, p),
                                 lin, v, p)
         gaps.append(float(np.mean((yd.X[:, -1] - ye.X[:, -1]) ** 2)))
     mono = gaps[0] > gaps[1] > gaps[2]
-    out.append(_check("variation_direct_vs_explicit", gaps[-1], gaps[0], mono,
-                      detail=f"gaps {['%.3e' % g for g in gaps]}"))
-    return out
+    return [_check("variation_direct_vs_explicit", gaps[-1], gaps[0], mono,
+                   detail=f"gaps {['%.3e' % g for g in gaps]}", levels=gaps)]
 
 
 # ---------------------------------------------------------------------------
-# lemma1 suite: first-order expansion error decays at the O(eps^2) rate
+# first-order expansion error decays at the O(eps^2) rate
 
 
 def nonlinear_lemma_model():
@@ -210,15 +230,14 @@ def lemma1_table_csv(rows, path) -> None:
                          f"{r[metric + '_stderr']:.17g}\n")
 
 
-def suite_lemma1(n_steps=256, n_paths=20000, seed=12345, hurst=0.75, T=1.0,
-                 table_out=None, **_):
-    grid = TimeGrid(T, n_steps)
-    paths = fbm_from_kernel(generate_bm(grid, 1, n_paths, seed), hurst)
-    model = nonlinear_lemma_model()
-    u_star = ControlProcess.constant(0.1)
-    v = ControlProcess.from_feedback(lambda t, x: np.full_like(x, 1.0))
-    rows = lemma1_experiment(model, u_star, v, [0.2, 0.1, 0.05, 0.025],
-                             paths, x0=0.5)
+def lemma1(paths: PathSet, table_out=None) -> list[CheckResult]:
+    """Lemma 1 on the nonlinear fixture (u* = 0.1, v = 1, x0 = 0.5): every
+    norm of the expansion error decreases as eps halves from 0.2 to 0.025,
+    the terminal one by a ratio in [2.5, 6] (O(eps^2) gives 4).  The
+    experiment table is written to ``table_out`` when given."""
+    rows = lemma1_experiment(nonlinear_lemma_model(), ControlProcess.constant(0.1),
+                             ControlProcess.constant(1.0),
+                             [0.2, 0.1, 0.05, 0.025], paths, x0=0.5)
     if table_out is not None:
         lemma1_table_csv(rows, table_out)
     out = []
@@ -230,54 +249,97 @@ def suite_lemma1(n_steps=256, n_paths=20000, seed=12345, hurst=0.75, T=1.0,
                        or all(2.5 <= r <= 6.0 for r in ratios))
         out.append(_check(f"lemma1_{metric}", min(ratios), 2.5, ok,
                           detail=f"values {['%.3e' % v for v in vals]}, "
-                                 f"ratios {['%.2f' % r for r in ratios]}"))
+                                 f"ratios {['%.2f' % r for r in ratios]}",
+                          levels=vals))
     return out
 
 
 # ---------------------------------------------------------------------------
-# bsde suite: adjoint consistency and backward-equation residual
+# adjoint consistency and backward-equation residual, at the zero control
 
 
-def suite_bsde(n_paths=10000, seed=12345, **_) -> list[CheckResult]:
-    out = []
-    spec = LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.0, N=0.0)
-    from .lq import lq_adjoint_problem
+def _zero_control_problem(spec: LqSpec, paths: PathSet):
+    u = ControlProcess.from_values(np.zeros((paths.n_paths, paths.grid.n_nodes)))
+    return lq_adjoint_problem(spec, lq_model(spec), u, paths)
 
-    # q consistency at a finer grid: the bump oracle carries an O(dt) offset
-    grid = TimeGrid(1.0, 512)
-    paths = fbm_from_kernel(generate_bm(grid, 1, n_paths, seed), 0.75)
-    u0 = ControlProcess.from_values(np.zeros((n_paths, grid.n_nodes)))
-    prob = lq_adjoint_problem(spec, lq_model(spec), u0, paths)
+
+def q_formula_vs_bump(paths: PathSet, spec: LqSpec) -> list[CheckResult]:
+    """Closed-form q matches the bump oracle within 3 combined stderr at
+    every 8th node.  The oracle carries an O(dt) offset, so run it fine."""
+    prob = _zero_control_problem(spec, paths)
     est = estimate_q_formula(prob, estimate_p(prob))
     qb = estimate_q_bump(prob, est)
     worst = 0.0
-    for k in range(0, grid.n_steps, 8):
+    for k in range(0, paths.grid.n_steps, 8):
         mf = est.q[0][:, k].mean()
         mb = np.nanmean(qb.q[0, :, k])
-        se_f = est.q_raw[0][:, k].std(ddof=1) / np.sqrt(n_paths)
+        se_f = est.q_raw[0][:, k].std(ddof=1) / np.sqrt(paths.n_paths)
         z = abs(mf - mb) / np.hypot(se_f, qb.mean_stderr[0, k])
         worst = max(worst, z)
-    out.append(_check("q_formula_vs_bump", worst, 3.0, worst <= 3.0))
+    return [_check("q_formula_vs_bump", worst, 3.0, worst <= 3.0)]
 
-    # bsde residual: per-node z and refinement decrease of the mean square
-    grid2 = TimeGrid(1.0, 256)
-    paths2 = fbm_from_kernel(generate_bm(grid2, 1, n_paths, seed + 1), 0.75)
-    msqs = []
-    zmax = None
-    for fac in (2, 1):
-        p = coarsen(paths2, fac)
-        u = ControlProcess.from_values(np.zeros((n_paths, p.grid.n_nodes)))
-        pr = lq_adjoint_problem(spec, lq_model(spec), u, p)
-        es = estimate_q_formula(pr, estimate_p(pr))
-        rep = bsde_residual(pr, es)
-        msqs.append(float(rep.mean_sq.mean()))
-        if fac == 1:
-            zmax = rep.max_abs_z()
-    out.append(_check("bsde_mean_residual", zmax, 3.0, zmax <= 3.0))
-    out.append(_check("bsde_mean_sq_refinement", msqs[1] / msqs[0], 1.0,
-                      msqs[1] < msqs[0],
-                      detail=f"mean_sq {msqs[0]:.3e} -> {msqs[1]:.3e}"))
-    return out
+
+def _zero_control_bsde(spec: LqSpec, paths: PathSet):
+    prob = _zero_control_problem(spec, paths)
+    return bsde_residual(prob, estimate_q_formula(prob, estimate_p(prob)))
+
+
+def bsde_residual_checks(paths: PathSet, spec: LqSpec) -> list[CheckResult]:
+    """Per-node mean BSDE residual within 3 stderr, and its mean square
+    smaller on ``paths`` than on their 2x coarsening."""
+    reps = [_zero_control_bsde(spec, coarsen(paths, fac)) for fac in (2, 1)]
+    msqs = [float(rep.mean_sq.mean()) for rep in reps]
+    zmax = reps[1].max_abs_z()
+    return [_check("bsde_mean_residual", zmax, 3.0, zmax <= 3.0),
+            _check("bsde_mean_sq_refinement", msqs[1] / msqs[0], 1.0,
+                   msqs[1] < msqs[0],
+                   detail=f"mean_sq {msqs[0]:.3e} -> {msqs[1]:.3e}", levels=msqs)]
+
+
+# ---------------------------------------------------------------------------
+# suites: the CLI's bundles, built from the config in a fixed order; a
+# bundle that no later check reads is freed before the next one is built
+
+
+def suite_covariance(*, hurst, n_steps, n_paths, seed, T, table_out):
+    grid = TimeGrid(T, n_steps)
+    ch = fbm_from_cholesky(grid, hurst, 1, n_paths, seed)
+    kp = fbm_from_kernel(generate_bm(grid, 1, n_paths, seed + 1), hurst)
+    probes = [(n_steps // 4, n_steps), (n_steps // 2, n_steps),
+              (n_steps // 4, n_steps // 2), (n_steps, n_steps)]
+    return [*kernel_sq_identity(_HURSTS), *cholesky_covariance(ch, probes),
+            *kernel_terminal_variance(kp), *cross_generator_variance(ch, kp)]
+
+
+def suite_operators(*, hurst, n_steps, n_paths, seed, T, table_out):
+    fine = fbm_from_kernel(generate_bm(TimeGrid(T, 2048), 1, 4000, seed), 0.75)
+    return [*isometry(TimeGrid(T, n_steps), _HURSTS), *transfer_refinement(fine)]
+
+
+def suite_variation(*, hurst, n_steps, n_paths, seed, T, table_out):
+    out = phi_psi_refinement(
+        fbm_from_kernel(generate_bm(TimeGrid(T, 2048), 1, n_paths, seed), 0.95))
+    # n_steps sets the finest variation level; coarse grids still report rates
+    fine = fbm_from_kernel(generate_bm(TimeGrid(T, max(256, int(n_steps))), 1,
+                                       n_paths, seed + 1), 0.75)
+    spec = LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3)
+    return out + variation_gap_refinement(fine, spec)
+
+
+def suite_lemma1(*, hurst, n_steps, n_paths, seed, T, table_out):
+    paths = fbm_from_kernel(generate_bm(TimeGrid(T, n_steps), 1, n_paths, seed),
+                            hurst)
+    return lemma1(paths, table_out)
+
+
+def suite_bsde(*, hurst, n_steps, n_paths, seed, T, table_out):
+    spec = LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.0, N=0.0)
+    out = q_formula_vs_bump(
+        fbm_from_kernel(generate_bm(TimeGrid(1.0, 512), 1, n_paths, seed), 0.75),
+        spec)
+    paths = fbm_from_kernel(generate_bm(TimeGrid(1.0, 256), 1, n_paths, seed + 1),
+                            0.75)
+    return out + bsde_residual_checks(paths, spec)
 
 
 SUITES = {
@@ -294,6 +356,8 @@ def suite_names():
 
 
 def run_suite(name: str, **kwargs) -> list[CheckResult]:
+    """Run a suite with the keywords hurst, n_steps, n_paths, seed, T and
+    table_out; a missing or unknown keyword raises TypeError."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {suite_names()}")
     return SUITES[name](**kwargs)

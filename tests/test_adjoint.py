@@ -5,16 +5,14 @@ import pytest
 
 from fbmcontrol import adjoint
 from fbmcontrol.adjoint import (NodeRegression, RegressionBasis,
-                                adjoint_problem, bsde_residual,
-                                constraint_residual_gamma, estimate_p,
+                                adjoint_problem, bsde_residual, estimate_p,
                                 estimate_q_bump, estimate_q_formula,
-                                malliavin_dx, stationarity_residual)
+                                stationarity_residual)
 from fbmcontrol.errors import (RegressionError, UnsupportedModelError,
                                UnsupportedRegimeError)
-from fbmcontrol.fbm import PathSet, kernel_weights
 from fbmcontrol.lq import LqSpec, lq_model
 from fbmcontrol.lq import lq_adjoint_problem
-from fbmcontrol.sde import CoefficientModel, ControlProcess, euler_mixed
+from fbmcontrol.sde import CoefficientModel, ControlProcess
 
 
 def zero(t, x, u):
@@ -110,61 +108,6 @@ class TestEstimateP:
                            atol=1e-8)
 
 
-class TestMalliavinDx:
-    def test_zero_before_bump(self, lq_problem):
-        _, prob, _ = lq_problem
-        assert np.all(malliavin_dx(prob, 0, r=10, s=5) == 0.0)
-
-    def test_constant_sigma_no_drift(self, coupled_paths_256):
-        model = CoefficientModel(m=1, b=zero,
-                                 sigma=[lambda t, x, u: np.full_like(x, 0.7)],
-                                 gamma=[zero], b_x=zero, b_u=zero,
-                                 sigma_x=[zero], sigma_u=[zero],
-                                 gamma_x=[zero], gamma_u=[zero],
-                                 linear_in_state=True)
-        prob = adjoint_problem(model, ControlProcess.constant(0.0), 1.0,
-                               coupled_paths_256, fx_fn=zero, fu_fn=zero,
-                               gx_fn=lambda x: x)
-        d = malliavin_dx(prob, 0, r=30, s=200)
-        assert np.allclose(d, 0.7, atol=1e-12)
-
-    def test_requires_linear_model(self, coupled_paths_256):
-        model = CoefficientModel(m=1, b=lambda t, x, u: np.sin(x), sigma=[zero],
-                                 gamma=[zero], b_x=lambda t, x, u: np.cos(x),
-                                 b_u=zero, sigma_x=[zero], sigma_u=[zero],
-                                 gamma_x=[zero], gamma_u=[zero])
-        prob = adjoint_problem(model, ControlProcess.constant(0.0), 1.0,
-                               coupled_paths_256, fx_fn=zero, fu_fn=zero,
-                               gx_fn=lambda x: x)
-        with pytest.raises(UnsupportedModelError):
-            malliavin_dx(prob, 0, r=1, s=2)
-
-    def test_matches_path_bump_oracle(self, lq_problem, coupled_paths_256):
-        # central difference of the re-integrated state (frozen control)
-        spec, prob, _ = lq_problem
-        paths = coupled_paths_256
-        grid = paths.grid
-        r, s = 64, 192
-        h = 1e-3 * np.sqrt(grid.dt)
-        W = kernel_weights(grid, paths.hurst)
-        model = lq_model(spec)
-        u = ControlProcess.from_values(np.zeros_like(prob.x.X))
-
-        def integrate(bump):
-            dB = paths.dB.copy()
-            dB[:, 0, r] += bump
-            BH = paths.BH.copy()
-            BH[..., r + 1:] += bump * W[r + 1:, r][None, None, :]
-            bumped = PathSet(grid, paths.m, paths.n_paths, paths.seed,
-                             paths.hurst, dB, paths.B, BH)
-            return euler_mixed(model, u, spec.x0, bumped).X[:, s]
-
-        fd = (integrate(+h) - integrate(-h)) / (2 * h)
-        closed = malliavin_dx(prob, 0, r=r, s=s)
-        rel = np.abs(fd - closed) / np.maximum(np.abs(fd), 1e-12)
-        assert np.median(rel) < 1e-2
-
-
 class TestQEstimation:
     def test_no_brownian_sensitivity_gives_zero_q(self, coupled_paths_256):
         # f_x, g_x path-independent and sigma_x = 0: q vanishes
@@ -245,27 +188,6 @@ class TestQEstimation:
 
 
 class TestResiduals:
-    def test_gamma_constraint_zero_for_lq(self, lq_problem):
-        _, prob, est = lq_problem
-        rep = constraint_residual_gamma(prob, est)
-        assert np.all(rep.mean == 0.0)
-
-    def test_gamma_constraint_flags_nonzero(self, coupled_paths_256):
-        # gamma_u = c with p from a non-optimal fixture: nonzero and flagged
-        c = 0.4
-        model = CoefficientModel(m=1, b=zero, sigma=[zero],
-                                 gamma=[lambda t, x, u: c * u], b_x=zero,
-                                 b_u=zero, sigma_x=[zero], sigma_u=[zero],
-                                 gamma_x=[zero],
-                                 gamma_u=[lambda t, x, u: np.full_like(x, c)],
-                                 linear_in_state=True)
-        prob = adjoint_problem(model, ControlProcess.constant(1.0), 1.0,
-                               coupled_paths_256, fx_fn=zero, fu_fn=zero,
-                               gx_fn=lambda x: np.full_like(x, 2.0))
-        est = estimate_p(prob)
-        rep = constraint_residual_gamma(prob, est)
-        assert rep.max_abs_z() > 5
-
     def test_stationarity_rejects_gamma_u(self, coupled_paths_256):
         model = CoefficientModel(m=1, b=zero, sigma=[zero],
                                  gamma=[lambda t, x, u: 0.1 * u], b_x=zero,

@@ -9,6 +9,7 @@ from fbmcontrol.cli import (EXIT_CHECK_FAILURE, EXIT_NO_CONVERGENCE, EXIT_OK,
                             load_config, lq_spec_from_config, main)
 from fbmcontrol.lq import (PicardOptions, independent_bm_scenario,
                            lq_picard_solve)
+from fbmcontrol.verify import run_suite
 
 
 def write_config(tmp_path, **overrides):
@@ -103,6 +104,19 @@ class TestVerifyCommand:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_USAGE
         capsys.readouterr()
+
+    def test_workers_rejected(self, tmp_path, capsys):
+        # the suites run in one process, so --workers would do nothing
+        cfg = write_config(tmp_path)
+        rc = main(["verify", "covariance", "--config", str(cfg),
+                   "--out", str(tmp_path / "o"), "--workers", "2"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert "--workers" in err and "Traceback" not in err
+
+    def test_misspelt_suite_keyword_raises(self):
+        with pytest.raises(TypeError):
+            run_suite("covariance", n_path=10)
 
     def test_lemma1_suite_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_paths=4000, n_steps=128)

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 
 from fbmcontrol import fbm
 from fbmcontrol.errors import DomainError, GridMismatchError
-from fbmcontrol.fbm import (Hurst, PathSet, TimeGrid, coarsen, fbm_covariance,
+from fbmcontrol.fbm import (Hurst, TimeGrid, coarsen, fbm_covariance,
                             fbm_from_cholesky, fbm_from_kernel, generate_bm,
                             kappa_h, kernel_subdiagonal, kernel_weights, kernel_z,
                             kernel_z_closed)
@@ -440,16 +440,6 @@ class TestPathSetPlumbing:
                     lines.append(f"{p},{d},{k},{t[k]:.17g},{ps.B[p, d, k]:.17g},"
                                  f"{float('nan'):.17g}\n")
         assert f.read_bytes() == "".join(lines).encode()
-
-    def test_npz_round_trip(self, tmp_path):
-        grid = TimeGrid(1.0, 8)
-        ps = fbm_from_kernel(generate_bm(grid, 2, 5, seed=4), 0.6)
-        f = tmp_path / "paths.npz"
-        ps.save_npz(f)
-        back = PathSet.load_npz(f)
-        assert np.array_equal(back.dB, ps.dB)
-        assert np.array_equal(back.BH, ps.BH)
-        assert back.hurst.value == ps.hurst.value
 
     def test_immutability(self, coupled_paths_256):
         with pytest.raises(ValueError):

@@ -6,12 +6,8 @@ import pytest
 from fbmcontrol.errors import DomainError
 from fbmcontrol.fbm import TimeGrid, coarsen
 from fbmcontrol.transforms import (GridFunction, gamma_star, gamma_star_at,
-                                   isometry_check, kappa_1, phi_1h, phi_kernel,
-                                   phi_norm_sq, transfer_check)
-
-# frozen via an independent high-precision (mpmath) evaluation
-KAPPA_1_075 = 0.15005271935951768
-PHI_1H_1_2_075 = 0.078909061828000818
+                                   isometry_check, phi_kernel, phi_norm_sq,
+                                   transfer_check)
 
 
 def gf(n, fn, T=1.0):
@@ -129,39 +125,3 @@ class TestTransferCheck:
         assert corrs[1] >= 0.99  # n = 1024
         assert corrs[0] < corrs[1] < corrs[2]
 
-
-class TestSmallKernels:
-    def test_kappa_1_frozen(self):
-        assert kappa_1(0.75) == pytest.approx(KAPPA_1_075, rel=1e-14)
-
-    def test_kappa_1_positive(self):
-        for H in np.linspace(0.51, 0.99, 20):
-            assert kappa_1(H) > 0
-
-    def test_kappa_1_reproducible(self):
-        assert kappa_1(0.77) == kappa_1(0.77)
-
-    def test_phi_1h_frozen(self):
-        assert phi_1h(1.0, 2.0, 0.75) == pytest.approx(PHI_1H_1_2_075, rel=1e-13)
-
-    def test_phi_1h_identity_with_phi_kernel(self):
-        # phi_{1,H}(s,t) = (2H kappa_1/kappa_H) s^{1/2-H} phi(s,t)
-        from fbmcontrol.fbm import kappa_h
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            H = rng.uniform(0.55, 0.95)
-            s = rng.uniform(0.1, 2.0)
-            t = s + rng.uniform(0.05, 1.0)
-            lhs = phi_1h(s, t, H)
-            rhs = (2 * H * kappa_1(H) / kappa_h(H)) * s ** (0.5 - H) \
-                * phi_kernel(s, t, H)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_phi_1h_domain(self):
-        with pytest.raises(DomainError):
-            phi_1h(0.0, 1.0, 0.75)
-        with pytest.raises(DomainError):
-            phi_1h(1.0, 1.0, 0.75)
-
-    def test_phi_1h_positive(self):
-        assert phi_1h(0.5, 1.5, 0.8) > 0
