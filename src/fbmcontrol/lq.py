@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import (AdjointEstimate, AdjointProblem, RegressionBasis,
-                      adjoint_problem, estimate_p, estimate_q_formula)
+                      SharedPair, adjoint_problem, estimate_p,
+                      estimate_q_formula)
 from .errors import DomainError, UnsupportedModelError
 from .fbm import PathSet, TimeGrid
 from .sde import CoefficientModel, ControlProcess, StatePath, euler_mixed
@@ -182,8 +183,10 @@ def lq_cost(spec: LqSpec, u: ControlProcess, paths: PathSet,
 
 
 def lq_adjoint_problem(spec: LqSpec, model: CoefficientModel,
-                       u: ControlProcess, paths: PathSet) -> AdjointProblem:
-    """Adjoint inputs for an LQ spec along the pair driven by ``u``."""
+                       u: ControlProcess, paths: PathSet,
+                       shared: SharedPair | None = None) -> AdjointProblem:
+    """Adjoint inputs for an LQ spec along the pair driven by ``u``; see
+    ``adjoint_problem`` for ``shared``."""
     f = spec.fns()
     Q, R, G = f["Q"], f["R"], spec.G
     return adjoint_problem(
@@ -192,7 +195,7 @@ def lq_adjoint_problem(spec: LqSpec, model: CoefficientModel,
         fu_fn=lambda t, x, uu: R(t) * uu,
         gx_fn=lambda x: G * x,
         fxx_fn=lambda t, x, uu: _node_values(Q, t),
-        gxx_fn=lambda x: G * np.ones_like(x))
+        gxx_fn=lambda x: G * np.ones_like(x), shared=shared)
 
 
 @dataclass
@@ -233,7 +236,9 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
     Each sweep simulates the state under the current control, re-estimates
     (p, q) from the explicit representations, and moves the control a step
     theta toward the first-order-condition target.  Non-convergence is
-    returned as a flagged solution, never silently.
+    returned as a flagged solution, never silently.  The LQ partials depend
+    on time only, so (Phi, Psi) and S2 are built once and every later sweep
+    shares them (``adjoint_problem`` checks that they still apply).
     """
     options = options or PicardOptions()
     delta = spec.validate_on(paths.grid)
@@ -247,10 +252,12 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
         np.full((paths.n_paths, paths.grid.n_nodes), float(options.u0)))
     log = []
     converged = False
-    prob = est = None
+    shared = None
     for it in range(options.max_iter):
-        prob = lq_adjoint_problem(spec, model, u, paths)
+        prob = est = None  # the last sweep's arrays go before the next are built
+        prob = lq_adjoint_problem(spec, model, u, paths, shared)
         est = estimate_q_formula(prob, estimate_p(prob, options.basis))
+        shared = shared or prob.shared_part()
         target = -(at_nodes * est.p
                    + mt_nodes * est.q[scenario.sigma_driver]) / r_nodes
         change = options.theta * _mean_l2(target - u.values, paths.grid.dt)
@@ -264,7 +271,8 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
             converged = True
             break
     # final estimates at the returned control
-    prob = lq_adjoint_problem(spec, model, u, paths)
+    prob = est = None
+    prob = lq_adjoint_problem(spec, model, u, paths, shared)
     est = estimate_q_formula(prob, estimate_p(prob, options.basis))
     cost = _cost_per_path(spec, prob.x, u.values)
     return LqSolution(spec, scenario, u, prob, est,
