@@ -198,9 +198,68 @@ def lq_adjoint_problem(spec: LqSpec, model: CoefficientModel,
         gxx_fn=lambda x: G * np.ones_like(x), shared=shared)
 
 
+# Anderson mixing of the Picard map: history depth, and the condition number
+# of the depth x depth Gram system beyond which a sweep takes the damped step
+ANDERSON_DEPTH = 2
+ANDERSON_MAX_COND = 1e10
+
+
+class AndersonMixer:
+    """Anderson mixing (Anderson 1965; Walker & Ni 2011) of the damped map
+    u -> x(u) = u + theta f(u), with f(u) = target(u) - u.
+
+    Given the last ``depth`` differences dF_i of f and dX_i of x, the next
+    iterate is x_k - sum_i gamma_i dX_i, where gamma minimizes
+    |f_k - sum_i gamma_i dF_i| in the control norm (acting nodes only).  The
+    Gram system is formed by plain elementwise reductions, which run on one
+    thread; a singular or ill-conditioned one gives the plain damped step
+    x_k.  The history is 2 * depth arrays: after a step the oldest
+    difference pair is dropped and its buffers keep x_k and f_k until the
+    next iterate turns them into differences.
+    """
+
+    def __init__(self, theta: float, depth: int = ANDERSON_DEPTH):
+        self.theta = theta
+        self.depth = depth
+        self.dx, self.df = [], []  # differences, oldest first
+        self.last = None           # (x_k, f_k) of the last step
+
+    def coefficients(self, f: np.ndarray) -> np.ndarray | None:
+        """The least-squares gamma for residual f, None for the damped step."""
+        if not self.df:
+            return None
+        inner = lambda a, b: np.einsum("ij,ij->", a[:, :-1], b[:, :-1])
+        gram = np.array([[inner(a, b) for b in self.df] for a in self.df])
+        rhs = np.array([inner(a, f) for a in self.df])
+        if not np.isfinite(gram).all() or np.linalg.cond(gram) > ANDERSON_MAX_COND:
+            return None
+        return np.linalg.solve(gram, rhs)
+
+    def step(self, u: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """The next iterate from u_k and f_k = target - u_k (f is kept)."""
+        x = u + self.theta * f
+        if self.last is not None:
+            lx, lf = self.last
+            self.dx.append(np.subtract(x, lx, out=lx))
+            self.df.append(np.subtract(f, lf, out=lf))
+        gamma = self.coefficients(f)
+        nxt = x.copy()
+        if gamma is not None:
+            for g, d in zip(gamma, self.dx):
+                nxt -= g * d
+        if len(self.df) == self.depth:  # recycle the oldest pair's buffers
+            bx, bf = self.dx.pop(0), self.df.pop(0)
+            np.copyto(bx, x)
+            np.copyto(bf, f)
+            self.last = (bx, bf)
+        else:
+            self.last = (x, f)
+        return nxt
+
+
 @dataclass
 class PicardOptions:
-    theta: float = 0.5          # damping; undamped iteration can oscillate when M~ != 0
+    theta: float = 0.5          # mixing; undamped iteration can oscillate when M~ != 0
     tol: float = 1e-3           # mean-L2 control change
     max_iter: int = 50
     basis: RegressionBasis = field(default_factory=RegressionBasis)
@@ -231,11 +290,13 @@ def _mean_l2(du: np.ndarray, dt: float) -> float:
 def lq_picard_solve(spec: LqSpec, paths: PathSet,
                     options: PicardOptions | None = None,
                     scenario: LqScenario = direct_scenario()) -> LqSolution:
-    """Damped fixed-point iteration on u = -R^{-1}(A~ p + sum_j M~_j q_j).
+    """Fixed-point iteration on u = -R^{-1}(A~ p + sum_j M~_j q_j).
 
     Each sweep simulates the state under the current control, re-estimates
-    (p, q) from the explicit representations, and moves the control a step
-    theta toward the first-order-condition target.  Non-convergence is
+    (p, q) from the explicit representations, and moves the control to the
+    Anderson mixing of the damped steps theta toward the first-order-
+    condition target (see :class:`AndersonMixer`).  The iteration stops
+    once the damped step's mean-L2 size is below tol.  Non-convergence is
     returned as a flagged solution, never silently.  The LQ partials depend
     on time only, so (Phi, Psi) and S2 are built once and every later sweep
     shares them (``adjoint_problem`` checks that they still apply).
@@ -253,25 +314,28 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
     log = []
     converged = False
     shared = None
+    mixer = AndersonMixer(options.theta)
     for it in range(options.max_iter):
-        prob = est = None  # the last sweep's arrays go before the next are built
         prob = lq_adjoint_problem(spec, model, u, paths, shared)
         est = estimate_q_formula(prob, estimate_p(prob, options.basis))
         shared = shared or prob.shared_part()
-        target = -(at_nodes * est.p
-                   + mt_nodes * est.q[scenario.sigma_driver]) / r_nodes
-        change = options.theta * _mean_l2(target - u.values, paths.grid.dt)
+        resid = -(at_nodes * est.p
+                  + mt_nodes * est.q[scenario.sigma_driver]) / r_nodes
+        resid -= u.values  # target - u
+        change = options.theta * _mean_l2(resid, paths.grid.dt)
         cost = _cost_per_path(spec, prob.x, u.values)
+        # the sweep's arrays go before the next sweep's are built
+        prob = est = None
         log.append({"iter": it, "change": change,
                     "J": float(cost.mean()),
                     "J_stderr": float(cost.std(ddof=1) / np.sqrt(len(cost)))})
-        u = ControlProcess.from_values(
-            (1 - options.theta) * u.values + options.theta * target)
+        u = ControlProcess.from_values(mixer.step(u.values, resid))
+        resid = None
         if change < options.tol:
             converged = True
             break
     # final estimates at the returned control
-    prob = est = None
+    mixer = None
     prob = lq_adjoint_problem(spec, model, u, paths, shared)
     est = estimate_q_formula(prob, estimate_p(prob, options.basis))
     cost = _cost_per_path(spec, prob.x, u.values)
