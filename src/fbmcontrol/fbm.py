@@ -434,12 +434,18 @@ def fbm_from_kernel(bm: PathSet, h) -> PathSet:
     """Attach the fractional path built from ``bm``'s own increments.
 
     B^H_j(t_k) = sum_{i<k} W[k, i] dB_j[i]; B and B^H stay jointly coherent.
+    W is ``kernel_weights``; the sum is formed on the unit-step table and
+    scaled after, so it agrees with W's products to rounding.
     """
     hurst = h if isinstance(h, Hurst) else Hurst(float(h))
     if bm.dB is None:
         raise GridMismatchError("kernel generator needs a path set with increments")
-    W = kernel_weights(bm.grid, hurst)
-    bh = np.einsum("ki,pdi->pdk", W, bm.dB, optimize=True)
+    n = int(bm.grid.n_steps)
+    # contract against the held unit-step block, then scale the sums by
+    # dt^{H-1/2}: no scaled copy of the (n+1) x n weights per call
+    bh = np.einsum("ki,pdi->pdk", _unit_table(hurst.value, n)[:n + 1, :n],
+                   bm.dB, optimize=True)
+    bh *= bm.grid.dt ** (hurst.value - 0.5)
     bh[..., 0] = 0.0
     return bm.with_bh(hurst, bh)
 
