@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,8 @@ from .lq import (LqSpec, PicardOptions, convexity_check, direct_scenario,
                  independent_bm_scenario, lq_picard_solve, optimality_sweep,
                  riccati_oracle, random_adapted_directions)
 from .sde import ControlProcess
-from .verify import (CheckResult, kernel_terminal_variance, run_suite,
-                     suite_names)
+from .verify import (IGNORED_CONFIG, CheckResult, kernel_terminal_variance,
+                     ran_at, run_suite, suite_names)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -187,26 +187,34 @@ def generate_paths(cfg: dict, workers: int = 1) -> PathSet:
     return fbm_from_kernel(bm, Hurst(cfg["hurst"]))
 
 
-def _report_header(cfg: dict) -> list[str]:
+def _report_header(cfg: dict, suite: str | None = None, checks=()) -> list[str]:
+    """Five header lines.  A verify suite states the bundles and grids its
+    checks ran on and the path fields of the config it does not read, where
+    the other commands echo the config's grid."""
+    if suite is None:
+        run = [f"# grid: T={cfg['T']} n_steps={cfg['n_steps']}",
+               f"# n_paths: {cfg['n_paths']}  hurst: {cfg['hurst']}"]
+    else:
+        run = [f"# ran_at: {'; '.join(ran_at(checks)) or 'no check finished'}",
+               f"# ignored_config: {', '.join(IGNORED_CONFIG[suite]) or 'none'}"]
     return [f"# config_hash: {config_hash(cfg)}",
             f"# seed: {cfg['seed']}",
-            f"# grid: T={cfg['T']} n_steps={cfg['n_steps']}",
-            f"# n_paths: {cfg['n_paths']}  hurst: {cfg['hurst']}",
+            *run,
             f"# resolved_config: {json.dumps(cfg, sort_keys=True)}"]
 
 
-def _write_checks(path: Path, cfg: dict, checks) -> None:
+def _write_checks(path: Path, header, checks) -> None:
     with open(path, "w", newline="") as fh:
-        for line in _report_header(cfg):
+        for line in header:
             fh.write(line + "\n")
         fh.write("name,value,stderr\n")
         for c in checks:
             fh.write(c.row() + "\n")
 
 
-def _write_summary(path: Path, cfg: dict, lines) -> None:
+def _write_summary(path: Path, header, lines) -> None:
     with open(path, "w") as fh:
-        for line in _report_header(cfg):
+        for line in header:
             fh.write(line + "\n")
         for line in lines:
             fh.write(line + "\n")
@@ -217,11 +225,12 @@ class Progress:
     """Stage of the running command and the summary it has started.
 
     A numerical failure is reported against ``stage``; ``summary`` is then
-    written with ``lines`` so far and the failure.
+    written under ``header`` with ``lines`` so far and the failure.
     """
 
     stage: str = "setup"
     summary: Path | None = None
+    header: list = field(default_factory=list)
     lines: list = field(default_factory=list)
 
 
@@ -232,24 +241,25 @@ def cmd_paths(cfg: dict, out: Path, workers: int, run: Progress) -> int:
     # covariance validation on the generated bundle
     inc_var = float(paths.dB.var(ddof=1)) * cfg["n_steps"] / cfg["T"]
     z_inc = abs(inc_var - 1.0) / np.sqrt(2.0 / (paths.n_paths * cfg["n_steps"]))
-    checks = [replace(c, name="bh_terminal_variance_z")
-              for c in kernel_terminal_variance(paths)]
+    checks = kernel_terminal_variance(paths, "bh_terminal_variance_z")
     checks.append(CheckResult("bm_increment_variance_z", z_inc, 0.0, 4.0,
                               z_inc <= 4.0))
-    _write_checks(out / "covariance_report.csv", cfg, checks)
+    _write_checks(out / "covariance_report.csv", _report_header(cfg), checks)
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILURE
 
 
 def cmd_verify(cfg: dict, suite: str, out: Path, run: Progress) -> int:
     run.stage = f"verify {suite}"
     run.summary = out / f"verify_{suite}_summary.txt"
+    run.header = _report_header(cfg, suite)
     checks = run_suite(suite, hurst=cfg["hurst"], n_steps=cfg["n_steps"],
                        n_paths=cfg["n_paths"], seed=cfg["seed"], T=cfg["T"],
                        table_out=out / f"{suite}_table.csv")
-    _write_checks(out / f"verify_{suite}.csv", cfg, checks)
+    run.header = _report_header(cfg, suite, checks)
+    _write_checks(out / f"verify_{suite}.csv", run.header, checks)
     lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}: value={c.value:.6g} "
              f"tol={c.tolerance:.6g} {c.detail}" for c in checks]
-    _write_summary(run.summary, cfg, lines)
+    _write_summary(run.summary, run.header, lines)
     for line in lines:
         print(line)
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILURE
@@ -269,6 +279,7 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
         print(f"config violates the LQ invariants: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
     run.summary = out / "solve_summary.txt"
+    run.header = _report_header(cfg)
     lines = run.lines
     run.stage = "paths"
     paths = generate_paths(cfg, workers)
@@ -298,7 +309,7 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
     exit_code = EXIT_OK
     if not sol.converged:
         lines.append("NON-CONVERGENCE: control change above tol at max_iter")
-        _write_summary(run.summary, cfg, lines)
+        _write_summary(run.summary, run.header, lines)
         return EXIT_NO_CONVERGENCE
 
     run.stage = "residuals"
@@ -347,7 +358,7 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
     if not conv.holds():
         exit_code = EXIT_CHECK_FAILURE
 
-    _write_summary(run.summary, cfg, lines)
+    _write_summary(run.summary, run.header, lines)
     for line in lines:
         print(line)
     return exit_code
@@ -402,7 +413,7 @@ def main(argv=None) -> int:
         failure = f"FAILED in stage {run.stage}: {type(exc).__name__}: {exc}"
         print(f"{args.command} {failure}", file=sys.stderr)
         if run.summary is not None:
-            _write_summary(run.summary, cfg, [*run.lines, failure])
+            _write_summary(run.summary, run.header, [*run.lines, failure])
         return EXIT_CHECK_FAILURE
     return EXIT_USAGE
 

@@ -231,7 +231,8 @@ class AndersonMixer:
         inner = lambda a, b: np.einsum("ij,ij->", a[:, :-1], b[:, :-1])
         gram = np.array([[inner(a, b) for b in self.df] for a in self.df])
         rhs = np.array([inner(a, f) for a in self.df])
-        if not np.isfinite(gram).all() or np.linalg.cond(gram) > ANDERSON_MAX_COND:
+        if not (np.isfinite(gram).all()
+                and np.linalg.cond(gram) <= ANDERSON_MAX_COND):
             return None
         return np.linalg.solve(gram, rhs)
 

@@ -2,10 +2,10 @@
 
 Each check takes its inputs already built (a path bundle, an LqSpec, Hurst
 values, probe pairs) and returns a list of :class:`CheckResult`; its
-tolerances are pinned beside it.  A suite builds the CLI's bundles from the
-config and calls the checks; the acceptance criteria build their own bundles
-at their own scales and call the same checks.  A suite passes iff every
-check does.
+tolerances are pinned beside it, and each result names the bundle or grid
+it ran on.  A suite builds the CLI's bundles from the config and calls the
+checks; the acceptance criteria build their own bundles at their own
+scales and call the same checks.  A suite passes iff every check does.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from .sde import (ControlProcess, CoefficientModel, euler_mixed, fundamental_phi
                   variation_direct, variation_explicit)
 from .transforms import GridFunction, isometry_check, transfer_check
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "suite_names",
+__all__ = ["CheckResult", "SUITES", "IGNORED_CONFIG", "run_suite",
+           "suite_names", "ran_at",
            "kernel_sq_identity", "cholesky_covariance",
            "kernel_terminal_variance", "cross_generator_variance", "isometry",
            "transfer_refinement", "phi_psi_refinement",
@@ -44,14 +45,34 @@ class CheckResult:
     passed: bool
     detail: str = ""
     levels: tuple = ()  # a refinement check's per-level values, coarse to fine
+    at: tuple = ()      # the bundles or grids it ran on, see _bundle_at
 
     def row(self) -> str:
         return f"{self.name},{self.value:.17g},{self.stderr:.17g}"
 
 
-def _check(name, value, tolerance, passed, stderr=0.0, detail="", levels=()):
+def _check(name, value, tolerance, passed, stderr=0.0, detail="", levels=(),
+           at=()):
     return CheckResult(name, float(value), float(stderr), float(tolerance),
-                       bool(passed), detail, tuple(levels))
+                       bool(passed), detail, tuple(levels), tuple(at))
+
+
+def _bundle_at(paths: PathSet, factors=(1,)) -> str:
+    """A path bundle as a check saw it, coarsened by each of ``factors``."""
+    steps = "/".join(str(paths.grid.n_steps // f) for f in factors)
+    kind = "kernel" if paths.dB is not None else "cholesky"
+    return (f"{kind} paths T={paths.grid.horizon} n_steps={steps} "
+            f"n_paths={paths.n_paths} m={paths.m} H={_hval(paths.hurst)} "
+            f"seed={paths.seed}")
+
+
+def _hursts_at(hursts) -> str:
+    return "H=" + "/".join(str(H) for H in hursts)
+
+
+def ran_at(checks) -> list[str]:
+    """Every bundle or grid the checks ran on, once each, in order."""
+    return list(dict.fromkeys(a for c in checks for a in c.at))
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +82,7 @@ def _check(name, value, tolerance, passed, stderr=0.0, detail="", levels=()):
 def kernel_sq_identity(hursts) -> list[CheckResult]:
     """Quadrature identity int_0^t Z_H(t, s)^2 ds = t^{2H} within 1e-6."""
     out = []
+    at = [f"quadrature {_hursts_at(hursts)} t=0.25/0.5/1.0"]
     for H in hursts:
         for t in (0.25, 0.5, 1.0):
             val, _err = quad(lambda s: kernel_z(t, s, H) ** 2, 0, t,
@@ -68,7 +90,7 @@ def kernel_sq_identity(hursts) -> list[CheckResult]:
                              points=[0.0, t])
             rel = abs(val - t ** (2 * H)) / t ** (2 * H)
             out.append(_check(f"kernel_sq_identity_H{H}_t{t}", rel, 1e-6,
-                              rel <= 1e-6))
+                              rel <= 1e-6, at=at))
     return out
 
 
@@ -83,23 +105,31 @@ def cholesky_covariance(paths: PathSet, probes) -> list[CheckResult]:
         se = float(np.std(x * y, ddof=1) / np.sqrt(paths.n_paths))
         z = abs(c_hat - c_true) / se
         out.append(_check(f"cholesky_cov_{i}_{j}", z, 4.0, z <= 4.0,
-                          stderr=se, detail=f"sample {c_hat:.5f} vs {c_true:.5f}"))
+                          stderr=se, detail=f"sample {c_hat:.5f} vs {c_true:.5f}",
+                          at=[_bundle_at(paths)]))
     return out
 
 
-def _terminal_variance(paths: PathSet) -> tuple[float, float]:
-    """Sample variance of B^H_T and its normal-theory stderr."""
-    var_hat = float(paths.BH[:, 0, -1].var(ddof=1))
+def _terminal_variance(paths: PathSet, dim: int = 0) -> tuple[float, float]:
+    """Sample variance of driver dim's B^H_T and its normal-theory stderr."""
+    var_hat = float(paths.BH[:, dim, -1].var(ddof=1))
     return var_hat, var_hat * np.sqrt(2.0 / paths.n_paths)
 
 
-def kernel_terminal_variance(paths: PathSet) -> list[CheckResult]:
-    """Sample variance of B^H at T within 4 stderr of T^{2H}."""
-    var_hat, se = _terminal_variance(paths)
+def kernel_terminal_variance(paths: PathSet,
+                             name: str = "kernel_terminal_variance") -> list[CheckResult]:
+    """Sample variance of B^H at T within 4 stderr of T^{2H}, for every
+    driver: the check is ``name`` with one driver, ``name_dim<j>`` with more."""
     var_true = paths.grid.horizon ** (2 * _hval(paths.hurst))
-    z = abs(var_hat - var_true) / se
-    return [_check("kernel_terminal_variance", z, 4.0, z <= 4.0, stderr=se,
-                   detail=f"sample {var_hat:.5f} vs {var_true:.5f}")]
+    out = []
+    for j in range(paths.m):
+        var_hat, se = _terminal_variance(paths, j)
+        z = abs(var_hat - var_true) / se
+        out.append(_check(name if paths.m == 1 else f"{name}_dim{j}", z, 4.0,
+                          z <= 4.0, stderr=se,
+                          detail=f"sample {var_hat:.5f} vs {var_true:.5f}",
+                          at=[_bundle_at(paths)]))
+    return out
 
 
 def cross_generator_variance(cholesky: PathSet, kernel: PathSet) -> list[CheckResult]:
@@ -111,7 +141,7 @@ def cross_generator_variance(cholesky: PathSet, kernel: PathSet) -> list[CheckRe
     gap = abs(var_k - var_ch)
     tol = 4 * se_j + 0.02 * kernel.grid.horizon ** (2 * _hval(kernel.hurst))
     return [_check("cross_generator_variance", gap, tol, gap <= tol,
-                   stderr=se_j)]
+                   stderr=se_j, at=[_bundle_at(cholesky), _bundle_at(kernel)])]
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +154,14 @@ _ISOMETRY_FNS = {"one": lambda t: np.ones_like(t), "t": lambda t: t,
 def isometry(grid: TimeGrid, hursts) -> list[CheckResult]:
     """int (Gamma* f)^2 dt = ||f||_T^2 within 1% for 1, t and sin(2 pi t)."""
     out = []
+    at = [f"grid T={grid.horizon} n_steps={grid.n_steps} {_hursts_at(hursts)}"]
     for H in hursts:
         for name, fn in _ISOMETRY_FNS.items():
             rep = isometry_check(GridFunction.from_callable(grid, fn), H)
             out.append(_check(f"isometry_H{H}_{name}", rep["rel_err"], 1e-2,
                               rep["rel_err"] <= 1e-2,
-                              detail=f"lhs {rep['lhs']:.6f} rhs {rep['rhs']:.6f}"))
+                              detail=f"lhs {rep['lhs']:.6f} rhs {rep['rhs']:.6f}",
+                              at=at))
     return out
 
 
@@ -137,15 +169,18 @@ def transfer_refinement(fine: PathSet) -> list[CheckResult]:
     """Transfer correlation on fine/4, fine/2 and fine steps: >= 0.99 at the
     middle level and increasing under refinement."""
     corrs = []
-    for fac in (4, 2, 1):
+    factors = (4, 2, 1)
+    at = [_bundle_at(fine, factors)]
+    for fac in factors:
         p = coarsen(fine, fac)
         f = GridFunction.from_callable(p.grid, lambda t: np.sin(2 * np.pi * t) + t)
         corrs.append(transfer_check(f, p).correlation)
     mono = corrs[0] < corrs[1] < corrs[2]
     return [_check(f"transfer_corr_{fine.grid.n_steps // 2}", corrs[1], 0.99,
-                   corrs[1] >= 0.99),
+                   corrs[1] >= 0.99, at=at),
             _check("transfer_corr_monotone", corrs[2] - corrs[0], 0.0, mono,
-                   detail=f"corrs {['%.5f' % c for c in corrs]}", levels=corrs)]
+                   detail=f"corrs {['%.5f' % c for c in corrs]}", levels=corrs,
+                   at=at)]
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +206,8 @@ def phi_psi_refinement(fine: PathSet) -> list[CheckResult]:
     model = _gamma_only_model(0.3)
     u0 = ControlProcess.constant(0.0)
     errs = []
-    for fac in (8, 4, 2, 1):
+    factors = (8, 4, 2, 1)
+    for fac in factors:
         p = coarsen(fine, fac)
         x = euler_mixed(model, u0, 1.0, p)
         lin = linearize(model, x, u0)
@@ -180,7 +216,8 @@ def phi_psi_refinement(fine: PathSet) -> list[CheckResult]:
     ratios = [errs[i] / errs[i + 1] for i in range(3)]
     return [_check("phi_psi_refinement_rate", min(ratios), 1.8,
                    min(ratios) >= 1.8,
-                   detail=f"errors {['%.2e' % e for e in errs]}", levels=errs)]
+                   detail=f"errors {['%.2e' % e for e in errs]}", levels=errs,
+                   at=[_bundle_at(fine, factors)])]
 
 
 def variation_gap_refinement(fine: PathSet, spec: LqSpec) -> list[CheckResult]:
@@ -188,7 +225,8 @@ def variation_gap_refinement(fine: PathSet, spec: LqSpec) -> list[CheckResult]:
     decreases on fine/4, fine/2 and fine steps (u = 0, v = 1)."""
     model = lq_model(spec)
     gaps = []
-    for fac in (4, 2, 1):
+    factors = (4, 2, 1)
+    for fac in factors:
         p = coarsen(fine, fac)
         u = ControlProcess.constant(0.0)
         x = euler_mixed(model, u, spec.x0, p)
@@ -200,7 +238,8 @@ def variation_gap_refinement(fine: PathSet, spec: LqSpec) -> list[CheckResult]:
         gaps.append(float(np.mean((yd.X[:, -1] - ye.X[:, -1]) ** 2)))
     mono = gaps[0] > gaps[1] > gaps[2]
     return [_check("variation_direct_vs_explicit", gaps[-1], gaps[0], mono,
-                   detail=f"gaps {['%.3e' % g for g in gaps]}", levels=gaps)]
+                   detail=f"gaps {['%.3e' % g for g in gaps]}", levels=gaps,
+                   at=[_bundle_at(fine, factors)])]
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +289,7 @@ def lemma1(paths: PathSet, table_out=None) -> list[CheckResult]:
         out.append(_check(f"lemma1_{metric}", min(ratios), 2.5, ok,
                           detail=f"values {['%.3e' % v for v in vals]}, "
                                  f"ratios {['%.2f' % r for r in ratios]}",
-                          levels=vals))
+                          levels=vals, at=[_bundle_at(paths)]))
     return out
 
 
@@ -276,7 +315,8 @@ def q_formula_vs_bump(paths: PathSet, spec: LqSpec) -> list[CheckResult]:
         se_f = est.q_raw[0][:, k].std(ddof=1) / np.sqrt(paths.n_paths)
         z = abs(mf - mb) / np.hypot(se_f, qb.mean_stderr[0, k])
         worst = max(worst, z)
-    return [_check("q_formula_vs_bump", worst, 3.0, worst <= 3.0)]
+    return [_check("q_formula_vs_bump", worst, 3.0, worst <= 3.0,
+                   at=[_bundle_at(paths)])]
 
 
 def _zero_control_bsde(spec: LqSpec, paths: PathSet):
@@ -287,13 +327,16 @@ def _zero_control_bsde(spec: LqSpec, paths: PathSet):
 def bsde_residual_checks(paths: PathSet, spec: LqSpec) -> list[CheckResult]:
     """Per-node mean BSDE residual within 3 stderr, and its mean square
     smaller on ``paths`` than on their 2x coarsening."""
-    reps = [_zero_control_bsde(spec, coarsen(paths, fac)) for fac in (2, 1)]
+    factors = (2, 1)
+    reps = [_zero_control_bsde(spec, coarsen(paths, fac)) for fac in factors]
     msqs = [float(rep.mean_sq.mean()) for rep in reps]
     zmax = reps[1].max_abs_z()
-    return [_check("bsde_mean_residual", zmax, 3.0, zmax <= 3.0),
+    return [_check("bsde_mean_residual", zmax, 3.0, zmax <= 3.0,
+                   at=[_bundle_at(paths)]),
             _check("bsde_mean_sq_refinement", msqs[1] / msqs[0], 1.0,
                    msqs[1] < msqs[0],
-                   detail=f"mean_sq {msqs[0]:.3e} -> {msqs[1]:.3e}", levels=msqs)]
+                   detail=f"mean_sq {msqs[0]:.3e} -> {msqs[1]:.3e}", levels=msqs,
+                   at=[_bundle_at(paths, factors)])]
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +391,16 @@ SUITES = {
     "variation": suite_variation,
     "lemma1": suite_lemma1,
     "bsde": suite_bsde,
+}
+
+# the path fields of the config (T, n_steps, n_paths, hurst, seed, m) that a
+# suite does not read: it runs at fixed values there, reported by ran_at
+IGNORED_CONFIG = {
+    "covariance": ("m",),
+    "operators": ("hurst", "n_paths", "m"),
+    "variation": ("hurst", "m"),
+    "lemma1": ("m",),
+    "bsde": ("T", "hurst", "n_steps", "m"),
 }
 
 

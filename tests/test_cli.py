@@ -9,7 +9,7 @@ from fbmcontrol.cli import (EXIT_CHECK_FAILURE, EXIT_NO_CONVERGENCE, EXIT_OK,
                             load_config, lq_spec_from_config, main)
 from fbmcontrol.lq import (PicardOptions, independent_bm_scenario,
                            lq_picard_solve)
-from fbmcontrol.verify import run_suite
+from fbmcontrol.verify import kernel_terminal_variance, run_suite
 
 
 def write_config(tmp_path, **overrides):
@@ -77,6 +77,30 @@ class TestPathsCommand:
         assert "# config_hash:" in report
         assert "# seed: 7" in report
 
+    @staticmethod
+    def report_names(out):
+        rows = (out / "covariance_report.csv").read_text().splitlines()
+        return [r.split(",")[0] for r in rows if not r.startswith("#")][1:]
+
+    def test_one_driver_report_rows(self, tmp_path):
+        out = tmp_path / "out"
+        main(["paths", "--config", str(write_config(tmp_path)), "--out", str(out)])
+        assert self.report_names(out) == ["bh_terminal_variance_z",
+                                          "bm_increment_variance_z"]
+
+    def test_two_drivers_each_checked(self, tmp_path):
+        cfg = write_config(tmp_path, m=2)
+        out = tmp_path / "out"
+        assert main(["paths", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert self.report_names(out) == ["bh_terminal_variance_z_dim0",
+                                          "bh_terminal_variance_z_dim1",
+                                          "bm_increment_variance_z"]
+        # a wrong second driver is caught by the check the command runs
+        paths = generate_paths(load_config(cfg))
+        bad = paths.with_bh(paths.hurst, paths.BH * [[1.0], [1.5]])
+        first, second = kernel_terminal_variance(bad)
+        assert first.passed and not second.passed
+
     def test_bad_hurst_exits_nonzero(self, tmp_path):
         cfg = write_config(tmp_path, hurst=0.4)
         assert main(["paths", "--config", str(cfg),
@@ -117,6 +141,46 @@ class TestVerifyCommand:
     def test_misspelt_suite_keyword_raises(self):
         with pytest.raises(TypeError):
             run_suite("covariance", n_path=10)
+
+    @staticmethod
+    def headers(out, suite):
+        """Header lines of the suite's CSV and summary, which must agree."""
+        csv = [ln for ln in (out / f"verify_{suite}.csv").read_text().splitlines()
+               if ln.startswith("#")]
+        summary = (out / f"verify_{suite}_summary.txt").read_text().splitlines()
+        assert summary[:len(csv)] == csv
+        return csv
+
+    # config fields these suites do not read, away from their fixed values
+    UNREAD = dict(hurst=0.6, T=2.0, n_steps=64, n_paths=300)
+
+    def test_bsde_header_states_what_ran(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        main(["verify", "bsde", "--config",
+              str(write_config(tmp_path, **self.UNREAD)), "--out", str(out)])
+        capsys.readouterr()
+        header = self.headers(out, "bsde")
+        assert not any(ln.startswith("# grid:") or "hurst: 0.6" in ln
+                       for ln in header)
+        ran = header[2]
+        assert ran.startswith("# ran_at: ")
+        assert "kernel paths T=1.0 n_steps=512 n_paths=300 m=1 H=0.75 seed=7" in ran
+        assert "kernel paths T=1.0 n_steps=256 n_paths=300 m=1 H=0.75 seed=8" in ran
+        assert "T=2.0" not in ran and "n_steps=64" not in ran
+        assert header[3] == "# ignored_config: T, hurst, n_steps, m"
+
+    def test_operators_header_states_what_ran(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        main(["verify", "operators", "--config",
+              str(write_config(tmp_path, **self.UNREAD)), "--out", str(out)])
+        capsys.readouterr()
+        header = self.headers(out, "operators")
+        ran = header[2]
+        assert "grid T=2.0 n_steps=64 H=0.6/0.75/0.9" in ran
+        assert ("kernel paths T=2.0 n_steps=512/1024/2048 n_paths=4000 m=1 "
+                "H=0.75 seed=7") in ran
+        assert "n_paths=300" not in ran
+        assert header[3] == "# ignored_config: hurst, n_paths, m"
 
     def test_lemma1_suite_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_paths=4000, n_steps=128)

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fbmcontrol.adjoint import stationarity_residual
+from fbmcontrol.adjoint import (estimate_p, estimate_q_formula,
+                                stationarity_residual)
 from fbmcontrol.errors import DomainError, UnsupportedModelError
 from fbmcontrol.fbm import TimeGrid, fbm_from_kernel, generate_bm
-from fbmcontrol.lq import (LqSpec, PicardOptions, convexity_check,
-                           direct_scenario, independent_bm_scenario, lq_cost,
-                           lq_model, lq_picard_solve, optimality_sweep,
-                           random_adapted_directions, riccati_oracle)
+from fbmcontrol.lq import (AndersonMixer, LqSpec, PicardOptions,
+                           convexity_check, direct_scenario,
+                           independent_bm_scenario, lq_adjoint_problem,
+                           lq_cost, lq_model, lq_picard_solve,
+                           optimality_sweep, random_adapted_directions,
+                           riccati_oracle)
 from fbmcontrol.sde import ControlProcess, euler_mixed, linearize
 
 N_PATHS = 6000
@@ -223,6 +226,110 @@ class TestPicardSolve:
         est = estimate_q_formula(prob, estimate_p(prob))
         rep = stationarity_residual(prob, est)
         assert rep.max_abs_z() > 5.0
+
+
+def damped_fixed_point(spec, paths, scenario, theta=0.5, tol=1e-12,
+                       max_iter=500):
+    """The plain damped Picard iteration, written out: (u, p, q, J)."""
+    model = lq_model(spec, scenario)
+    f = spec.fns()
+    t = paths.grid.nodes
+    r, at, mt = (np.broadcast_to(np.asarray(f[k](t), dtype=float), t.shape)
+                 for k in ("R", "A_tilde", "M_tilde"))
+    u = np.zeros((paths.n_paths, paths.grid.n_nodes))
+    for _ in range(max_iter):
+        prob = lq_adjoint_problem(spec, model, ControlProcess.from_values(u), paths)
+        est = estimate_q_formula(prob, estimate_p(prob))
+        du = theta * (-(at * est.p + mt * est.q[scenario.sigma_driver]) / r - u)
+        u = u + du
+        if np.sqrt((du[:, :-1] ** 2).sum(axis=1).mean() * paths.grid.dt) < tol:
+            break
+    else:
+        raise AssertionError("damped iteration did not converge")
+    prob = lq_adjoint_problem(spec, model, ControlProcess.from_values(u), paths)
+    est = estimate_q_formula(prob, estimate_p(prob))
+    return u, est.p, est.q, lq_cost(spec, ControlProcess.from_values(u), paths,
+                                    scenario, x=prob.x).J
+
+
+def rel_diff(a, b) -> float:
+    return float(np.linalg.norm(np.subtract(a, b)) / np.linalg.norm(b))
+
+
+class TestAndersonMixing:
+    def test_stalled_residual_takes_damped_step(self):
+        rng = np.random.default_rng(8)
+        u, f = rng.standard_normal((2, 50, 9))
+        mixer = AndersonMixer(0.5)
+        u1 = mixer.step(u, f.copy())
+        assert np.array_equal(u1, u + 0.5 * f)  # no history yet
+        # the same residual again: the difference of f is zero
+        u2 = mixer.step(u1, f.copy())
+        assert np.all(mixer.df[0] == 0) and mixer.coefficients(f) is None
+        assert np.array_equal(u2, u1 + 0.5 * f)
+
+    def test_collinear_history_takes_damped_step(self):
+        rng = np.random.default_rng(9)
+        u, d = rng.standard_normal((2, 50, 9))
+        mixer = AndersonMixer(0.5)
+        for k in range(2):
+            u = mixer.step(u, (k + 1.0) * d)
+        assert len(mixer.df) == 1
+        f = 3.0 * d  # a second difference parallel to the first
+        damped = u + 0.5 * f
+        assert np.array_equal(mixer.step(u, f), damped)
+
+    def test_constant_target_reached_in_two_steps(self):
+        # f(u) = c - u is linear: one difference spans it exactly
+        rng = np.random.default_rng(10)
+        c, u = rng.standard_normal((2, 40, 7))
+        mixer = AndersonMixer(0.5)
+        u = mixer.step(u, c - u)
+        u = mixer.step(u, c - u)
+        assert np.allclose(u, c, rtol=0, atol=1e-14)
+
+    def test_history_holds_two_depth_arrays(self):
+        rng = np.random.default_rng(11)
+        u = rng.standard_normal((30, 5))
+        mixer = AndersonMixer(0.5)
+        for _ in range(6):
+            u = mixer.step(u, rng.standard_normal((30, 5)))
+            held = len(mixer.dx) + len(mixer.df) + 2 * (mixer.last is not None)
+            assert held <= 2 * mixer.depth
+
+    def test_no_actuation_from_nonzero_start(self, paths):
+        # target is 0 for every control: the second sweep's Anderson step
+        # lands on it, the third sees two parallel differences of f
+        spec = LqSpec(A=-1.0, A_tilde=0.0, M=0.2, M_tilde=0.0, N=0.0)
+        sol = lq_picard_solve(spec, paths, PicardOptions(tol=1e-8, u0=1.0))
+        assert sol.converged and len(sol.iterations) == 3
+        assert np.all(sol.u.values == 0.0)
+
+
+@pytest.fixture(scope="module")
+def small_paths():
+    return {m: fbm_from_kernel(generate_bm(TimeGrid(1.0, 32), m, 1000,
+                                           seed=77), 0.75) for m in (1, 2)}
+
+
+@pytest.mark.parametrize("spec,scenario", [
+    (LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3), direct_scenario()),
+    (LqSpec(A=lambda t: -1.0 + 0.5 * t, A_tilde=lambda t: 1.0 + 0.3 * np.sin(2 * t),
+            M=lambda t: 0.2 + 0.1 * np.sin(3 * t + 0.5), M_tilde=0.2,
+            N=lambda t: 0.3 - 0.1 * t, Q=lambda t: 1.0 + t,
+            R=lambda t: 1.0 + 0.5 * np.cos(t)), direct_scenario()),
+    (LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3),
+     independent_bm_scenario()),
+], ids=["mixed_M_tilde", "sin_affine", "independent_bm"])
+def test_anderson_reaches_the_damped_fixed_point(small_paths, spec, scenario):
+    paths = small_paths[scenario.m]
+    u, p, q, J = damped_fixed_point(spec, paths, scenario)
+    sol = lq_picard_solve(spec, paths, PicardOptions(tol=1e-12, max_iter=200),
+                          scenario)
+    assert sol.converged
+    for got, want in ((sol.u.values, u), (sol.estimate.p, p),
+                      (sol.estimate.q, q), (sol.J, J)):
+        assert rel_diff(got, want) <= 1e-10
 
 
 class TestOptimalitySweep:
