@@ -1,7 +1,7 @@
 """End-to-end linear-quadratic solve under mixed fractional noise.
 
-The first-order condition u = -R^{-1}(A~ p + M~ q) is iterated to a damped
-fixed point.  On the Brownian-only sub-case the cost lands on the classical
+The first-order condition u = -R^{-1}(A~ p + M~ q) is iterated to its fixed
+point by damped steps with Anderson mixing.  On the Brownian-only sub-case the cost lands on the classical
 Riccati value; optimality is then probed by perturbing the control along
 random adapted directions on common random numbers.
 """

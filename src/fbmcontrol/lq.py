@@ -1,7 +1,8 @@
 """Linear-quadratic control under mixed fractional noise, solved end to end.
 
-The first-order condition u = -R^{-1}(A~ p + M~ q) is iterated to a damped
-fixed point with the adjoint pair re-estimated each sweep; a classical
+The first-order condition u = -R^{-1}(A~ p + M~ q) is iterated to its fixed
+point (damped steps with Anderson mixing) with the adjoint pair re-estimated
+each sweep; a classical
 Riccati oracle covers the Brownian-only sub-case (fractional coefficient
 N == 0), and optimality / convexity checks run on common random numbers so
 the comparisons resolve at desk scale.
@@ -208,19 +209,18 @@ class AndersonMixer:
     """Anderson mixing (Anderson 1965; Walker & Ni 2011) of the damped map
     u -> x(u) = u + theta f(u), with f(u) = target(u) - u.
 
-    Given the last ``depth`` differences dF_i of f and dX_i of x, the next
-    iterate is x_k - sum_i gamma_i dX_i, where gamma minimizes
+    Given the last ANDERSON_DEPTH differences dF_i of f and dX_i of x, the
+    next iterate is x_k - sum_i gamma_i dX_i, where gamma minimizes
     |f_k - sum_i gamma_i dF_i| in the control norm (acting nodes only).  The
     Gram system is formed by plain elementwise reductions, which run on one
     thread; a singular or ill-conditioned one gives the plain damped step
-    x_k.  The history is 2 * depth arrays: after a step the oldest
+    x_k.  The history is 2 * ANDERSON_DEPTH arrays: after a step the oldest
     difference pair is dropped and its buffers keep x_k and f_k until the
     next iterate turns them into differences.
     """
 
-    def __init__(self, theta: float, depth: int = ANDERSON_DEPTH):
+    def __init__(self, theta: float):
         self.theta = theta
-        self.depth = depth
         self.dx, self.df = [], []  # differences, oldest first
         self.last = None           # (x_k, f_k) of the last step
 
@@ -248,7 +248,7 @@ class AndersonMixer:
         if gamma is not None:
             for g, d in zip(gamma, self.dx):
                 nxt -= g * d
-        if len(self.df) == self.depth:  # recycle the oldest pair's buffers
+        if len(self.df) == ANDERSON_DEPTH:  # recycle the oldest pair's buffers
             bx, bf = self.dx.pop(0), self.df.pop(0)
             np.copyto(bx, x)
             np.copyto(bf, f)
@@ -335,7 +335,7 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
         if change < options.tol:
             converged = True
             break
-    # final estimates at the returned control
+    # final estimates at the returned control, without the mixing history
     mixer = None
     prob = lq_adjoint_problem(spec, model, u, paths, shared)
     est = estimate_q_formula(prob, estimate_p(prob, options.basis))

@@ -8,8 +8,8 @@ from fbmcontrol.adjoint import (estimate_p, estimate_q_formula,
                                 stationarity_residual)
 from fbmcontrol.errors import DomainError, UnsupportedModelError
 from fbmcontrol.fbm import TimeGrid, fbm_from_kernel, generate_bm
-from fbmcontrol.lq import (AndersonMixer, LqSpec, PicardOptions,
-                           convexity_check, direct_scenario,
+from fbmcontrol.lq import (ANDERSON_DEPTH, AndersonMixer, LqSpec,
+                           PicardOptions, convexity_check, direct_scenario,
                            independent_bm_scenario, lq_adjoint_problem,
                            lq_cost, lq_model, lq_picard_solve,
                            optimality_sweep, random_adapted_directions,
@@ -295,7 +295,7 @@ class TestAndersonMixing:
         for _ in range(6):
             u = mixer.step(u, rng.standard_normal((30, 5)))
             held = len(mixer.dx) + len(mixer.df) + 2 * (mixer.last is not None)
-            assert held <= 2 * mixer.depth
+            assert held <= 2 * ANDERSON_DEPTH
 
     def test_no_actuation_from_nonzero_start(self, paths):
         # target is 0 for every control: the second sweep's Anderson step
