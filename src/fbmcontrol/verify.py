@@ -331,12 +331,12 @@ def bsde_residual_checks(paths: PathSet, spec: LqSpec) -> list[CheckResult]:
     reps = [_zero_control_bsde(spec, coarsen(paths, fac)) for fac in factors]
     msqs = [float(rep.mean_sq.mean()) for rep in reps]
     zmax = reps[1].max_abs_z()
-    return [_check("bsde_mean_residual", zmax, 3.0, zmax <= 3.0,
-                   at=[_bundle_at(paths)]),
+    at = [_bundle_at(paths, factors)]
+    return [_check("bsde_mean_residual", zmax, 3.0, zmax <= 3.0, at=at),
             _check("bsde_mean_sq_refinement", msqs[1] / msqs[0], 1.0,
                    msqs[1] < msqs[0],
                    detail=f"mean_sq {msqs[0]:.3e} -> {msqs[1]:.3e}", levels=msqs,
-                   at=[_bundle_at(paths, factors)])]
+                   at=at)]
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ class TestVerifyCommand:
         ran = header[2]
         assert ran.startswith("# ran_at: ")
         assert "kernel paths T=1.0 n_steps=512 n_paths=300 m=1 H=0.75 seed=7" in ran
-        assert "kernel paths T=1.0 n_steps=256 n_paths=300 m=1 H=0.75 seed=8" in ran
+        assert "kernel paths T=1.0 n_steps=128/256 n_paths=300 m=1 H=0.75 seed=8" in ran
         assert "T=2.0" not in ran and "n_steps=64" not in ran
         assert header[3] == "# ignored_config: T, hurst, n_steps, m"
 
