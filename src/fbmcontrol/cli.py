@@ -300,10 +300,9 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
     with open(out / "control.csv", "w", newline="") as fh:
         fh.write(f"# first {n_dump} paths\n")
         fh.write("path,node,t,u\n")
-        t = grid.nodes
-        for p in range(n_dump):
-            for k in range(grid.n_nodes):
-                fh.write(f"{p},{k},{t[k]:.17g},{sol.u.values[p, k]:.17g}\n")
+        node_t = [f"{k},{t:.17g}," for k, t in enumerate(grid.nodes.tolist())]
+        for p, u in enumerate(sol.u.values[:n_dump].tolist()):
+            fh.write("".join([f"{p},{kt}{x:.17g}\n" for kt, x in zip(node_t, u)]))
     sol.estimate.to_csv(out / "adjoint.csv")
 
     exit_code = EXIT_OK

@@ -147,6 +147,30 @@ def _blowup_guard(x: np.ndarray, step: int) -> None:
     raise BlowupError(p, step, float(x[p]) if np.isfinite(x[p]) else float("inf"))
 
 
+# paths per block when the increments are copied to time-major order
+INCREMENT_BLOCK = 64
+
+
+def _time_major_increments(paths: PathSet) -> tuple[np.ndarray, np.ndarray]:
+    """dB and the increments of B^H, time-major: shape (n_steps, m, n_paths).
+
+    Copied INCREMENT_BLOCK paths at a time, which is faster than a
+    whole-array transpose (a size-1 driver axis over a power-of-two step
+    count defeats numpy's copy loop); dB^H is differenced on each block's
+    time-major view, the subtraction ``np.diff`` makes.  Built per call and
+    not held with the paths, which would raise peak memory.
+    """
+    n_paths, m, n_steps = paths.dB.shape
+    db = np.empty((n_steps, m, n_paths))
+    dbh = np.empty((n_steps, m, n_paths))
+    for p0 in range(0, n_paths, INCREMENT_BLOCK):
+        p1 = min(p0 + INCREMENT_BLOCK, n_paths)
+        db[:, :, p0:p1] = paths.dB[p0:p1].transpose(2, 1, 0)
+        bt = paths.BH[p0:p1].transpose(2, 1, 0)
+        np.subtract(bt[1:], bt[:-1], out=dbh[:, :, p0:p1])
+    return db, dbh
+
+
 def euler_mixed(model: CoefficientModel, u: ControlProcess, x0: float,
                 paths: PathSet) -> StatePath:
     """Left-point Euler scheme for the mixed state equation.
@@ -160,9 +184,7 @@ def euler_mixed(model: CoefficientModel, u: ControlProcess, x0: float,
     grid = paths.grid
     t = grid.nodes
     dt = grid.dt
-    # time-major copies: every step reads and writes contiguous rows
-    db = np.ascontiguousarray(paths.dB.transpose(2, 1, 0))
-    dbh = np.ascontiguousarray(np.diff(paths.BH, axis=-1).transpose(2, 1, 0))
+    db, dbh = _time_major_increments(paths)
     uv = None if u.values is None else np.ascontiguousarray(u.values.T)
     X = np.empty((grid.n_nodes, paths.n_paths))
     X[0] = x0
@@ -284,9 +306,7 @@ def variation_direct(lin: Linearization, v: np.ndarray, paths: PathSet) -> State
     """Variation process by direct Euler integration of its linear SDE."""
     grid = paths.grid
     dt = grid.dt
-    # time-major: every step reads and writes contiguous rows
-    db = np.ascontiguousarray(paths.dB.transpose(2, 1, 0))
-    dbh = np.ascontiguousarray(np.diff(paths.BH, axis=-1).transpose(2, 1, 0))
+    db, dbh = _time_major_increments(paths)
     bx, bu, sx, su, gx, gu = (_time_major(a) for a in
                               (lin.bx, lin.bu, lin.sx, lin.su, lin.gx, lin.gu))
     vt = np.ascontiguousarray(v.T)

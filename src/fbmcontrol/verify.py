@@ -189,11 +189,13 @@ def transfer_refinement(fine: PathSet) -> list[CheckResult]:
 
 def _gamma_only_model(c=0.3):
     zero = lambda t, x, u: np.zeros_like(np.asarray(x, dtype=float))
+    # partials depend on time only: one value per node, never per path
+    node_zero = lambda t, x, u: np.zeros(np.shape(t))
     return CoefficientModel(
         m=1, b=zero, sigma=[zero], gamma=[lambda t, x, u: c * x],
-        b_x=zero, b_u=zero, sigma_x=[zero], sigma_u=[zero],
-        gamma_x=[lambda t, x, u: np.full_like(np.asarray(x, dtype=float), c)],
-        gamma_u=[zero], linear_in_state=True)
+        b_x=node_zero, b_u=node_zero, sigma_x=[node_zero], sigma_u=[node_zero],
+        gamma_x=[lambda t, x, u: np.full(np.shape(t), c)],
+        gamma_u=[node_zero], linear_in_state=True)
 
 
 def phi_psi_refinement(fine: PathSet) -> list[CheckResult]:

@@ -253,6 +253,24 @@ class TestSolveCommand:
         for fname in ("control.csv", "adjoint.csv", "optimality_sweep.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    def test_control_csv_bytes_match_reference_loop(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, n_paths=250, n_steps=16,
+                                n_directions=1, eps_list=[0.1])
+        out = tmp_path / "o"
+        main(["solve-lq", "--config", str(cfg_path), "--out", str(out)])
+        capsys.readouterr()
+        cfg = load_config(cfg_path)
+        paths = generate_paths(cfg)
+        sol = lq_picard_solve(lq_spec_from_config(cfg), paths,
+                              PicardOptions(theta=cfg["theta"], tol=cfg["tol"],
+                                            max_iter=cfg["max_iter"], u0=cfg["u0"]))
+        t = paths.grid.nodes
+        lines = ["# first 200 paths\n", "path,node,t,u\n"]
+        for p in range(200):
+            for k in range(paths.grid.n_nodes):
+                lines.append(f"{p},{k},{t[k]:.17g},{sol.u.values[p, k]:.17g}\n")
+        assert (out / "control.csv").read_bytes() == "".join(lines).encode()
+
     def test_two_drivers_solve_the_independent_bm_model(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, m=2, n_steps=32, N=0.3,
                                 n_directions=1, eps_list=[0.1])

@@ -354,6 +354,56 @@ class TestOptimalitySweep:
         assert any(abs(r.deriv) > 5 * r.deriv_stderr for r in rows)
 
 
+def brute_force_sweep(spec, u_star, directions, eps_list, paths, scenario):
+    """The sweep by cost differences alone: one Euler run per u* +- eps v.
+
+    Rows are (dJ, dJ_stderr, deriv, deriv_stderr).
+    """
+    x_star = euler_mixed(lq_model(spec, scenario), u_star, spec.x0, paths)
+    u_mat = u_star.materialize(x_star)
+
+    def cost(u):
+        return lq_cost(spec, ControlProcess.from_values(u), paths,
+                       scenario).per_path
+
+    def mean_and_stderr(a):
+        return [a.mean(), a.std(ddof=1) / np.sqrt(len(a))]
+
+    base = cost(u_mat)
+    rows = []
+    for v in directions:
+        v_mat = v.materialize(x_star)
+        for eps in eps_list:
+            cp, cm = cost(u_mat + eps * v_mat), cost(u_mat - eps * v_mat)
+            rows.append(mean_and_stderr(cp - base)
+                        + mean_and_stderr((cp - cm) / (2 * eps)))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("spec,scenario", [
+    (LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3), direct_scenario()),
+    (LqSpec(A=lambda t: -1.0 + 0.5 * np.sin(3 * t), A_tilde=1.0, M=0.2,
+            M_tilde=0.1, N=0.3, Q=lambda t: 1.0 + t,
+            R=lambda t: 1.0 + 0.5 * np.sin(2 * t + 0.3), G=0.7),
+     direct_scenario()),
+    (LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3),
+     independent_bm_scenario()),
+], ids=["mixed_M_tilde", "sin_affine", "independent_bm"])
+def test_sweep_matches_brute_force_euler(small_paths, spec, scenario):
+    paths = small_paths[scenario.m]
+    # an adapted, non-optimal u*, so that no column is near zero
+    u_star = ControlProcess.from_values(0.5 * paths.B[:, 0] - 0.3)
+    directions = [*random_adapted_directions(paths, 2, seed=5),
+                  ControlProcess.constant(1.0)]
+    eps_list = [0.05, 0.1, 0.2]
+    rows = optimality_sweep(spec, u_star, directions, eps_list, paths, scenario)
+    want = brute_force_sweep(spec, u_star, directions, eps_list, paths, scenario)
+    got = np.array([[r.dJ, r.dJ_stderr, r.deriv, r.deriv_stderr] for r in rows])
+    assert [(r.direction, r.eps) for r in rows] == [
+        (i, eps) for i in range(len(directions)) for eps in eps_list]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
 class TestConvexity:
     def test_equal_controls(self, paths, solved):
         rep = convexity_check(brownian_spec(), solved.u, solved.u, paths)

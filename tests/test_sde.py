@@ -6,7 +6,8 @@ import pytest
 from fbmcontrol.errors import BlowupError, DomainError
 from fbmcontrol.fbm import TimeGrid, coarsen, fbm_from_kernel, generate_bm
 from fbmcontrol.lq import LqSpec, independent_bm_scenario, lq_model
-from fbmcontrol.sde import (BLOWUP_LIMIT, CoefficientModel, ControlProcess,
+from fbmcontrol.sde import (BLOWUP_LIMIT, INCREMENT_BLOCK, CoefficientModel,
+                            ControlProcess, _time_major_increments,
                             alpha_norm_terminal, default_alpha,
                             discrete_alpha_norm, euler_mixed, evaluate_along,
                             fundamental_phi, fundamental_psi, lemma1_experiment,
@@ -116,6 +117,18 @@ class TestControlProcess:
     def test_exactly_one_source(self):
         with pytest.raises(ValueError):
             ControlProcess()
+
+
+@pytest.mark.parametrize("m,n_paths,n_steps", [
+    (1, 2 * INCREMENT_BLOCK + 5, 256), (1, 10, 64),
+    (2, 2 * INCREMENT_BLOCK + 5, 32), (2, 10, 128)])
+def test_time_major_increments_match_whole_array_transpose(m, n_paths, n_steps):
+    paths = fbm_from_kernel(generate_bm(TimeGrid(1.0, n_steps), m, n_paths,
+                                        seed=31), 0.75)
+    db, dbh = _time_major_increments(paths)
+    assert np.array_equal(db, np.ascontiguousarray(paths.dB.transpose(2, 1, 0)))
+    assert np.array_equal(dbh, np.ascontiguousarray(
+        np.diff(paths.BH, axis=-1).transpose(2, 1, 0)))
 
 
 class TestEulerMixed:
