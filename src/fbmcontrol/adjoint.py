@@ -137,7 +137,6 @@ class AdjointProblem:
 
     paths: PathSet
     x: StatePath
-    u_values: np.ndarray
     lin: Linearization
     phi: StatePath
     psi: StatePath
@@ -148,7 +147,6 @@ class AdjointProblem:
     gamma_vals: np.ndarray
     fxx: np.ndarray | None = None
     gxx_T: np.ndarray | None = None
-    linear_in_state: bool = False
     s2: np.ndarray | None = None  # q's payoff S2, once estimate_q_formula forms it
 
     @property
@@ -164,18 +162,21 @@ class AdjointProblem:
                           self.fxx, self.gxx_T, self.s2)
 
     def sigma_x_deterministic(self) -> np.ndarray:
-        """Per-node sigma_x values, (m, n_nodes); requires a linear-in-state model."""
-        if not self.linear_in_state:
-            raise UnsupportedModelError(
-                "closed-form Malliavin expansion needs a linear-in-state model")
-        sx = self.lin.sx
-        if sx.strides[1] != 0:  # stored per path, not once per node
-            spread = np.ptp(sx, axis=1).max()
-            if spread > 1e-10:
-                raise UnsupportedModelError(
-                    f"sigma_x varies across paths (spread {spread:.2e}); "
-                    "model is not linear in state")
-        return sx[:, 0, :]
+        """Per-node sigma_x values, (m, n_nodes).
+
+        Raises unless b_x, sigma_x and gamma_x are the same on every path,
+        the linear-in-state structure the closed-form q needs: each must be
+        held once per node or spread by at most 1e-10 across paths.
+        """
+        for name, a in (("b_x", self.lin.bx), ("sigma_x", self.lin.sx),
+                        ("gamma_x", self.lin.gx)):
+            if not _time_only(a):
+                spread = np.ptp(a, axis=-2).max()
+                if spread > 1e-10:
+                    raise UnsupportedModelError(
+                        f"{name} varies across paths (spread {spread:.2e}); "
+                        "model is not linear in state")
+        return self.lin.sx[:, 0, :]
 
 
 @dataclass(frozen=True)
@@ -244,11 +245,11 @@ def adjoint_problem(model: CoefficientModel, u: ControlProcess, x0: float,
             and np.array_equal(gxx_T, shared.gxx_T):
         s2 = shared.s2
     return AdjointProblem(
-        paths=paths, x=x, u_values=uv, lin=lin, phi=phi, psi=psi, fx=fx, fu=fu,
+        paths=paths, x=x, lin=lin, phi=phi, psi=psi, fx=fx, fu=fu,
         gx_T=np.asarray(gx_fn(x.X[:, -1]), dtype=float),
         sigma_vals=evaluate_along(model.sigma, *at),
         gamma_vals=evaluate_along(model.gamma, *at),
-        fxx=fxx, gxx_T=gxx_T, linear_in_state=model.linear_in_state, s2=s2)
+        fxx=fxx, gxx_T=gxx_T, s2=s2)
 
 
 def _tail_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
@@ -297,7 +298,7 @@ class AdjointEstimate:
                          f"{qm[k]:.17g},{qs[k]:.17g}\n")
 
 
-def estimate_p(prob: AdjointProblem, basis: RegressionBasis = RegressionBasis()) -> AdjointEstimate:
+def estimate_p(prob: AdjointProblem) -> AdjointEstimate:
     """Estimate p(t) = Psi(t) E^{F_t}[ int_t^T f_x Phi ds + g_x(X_T) Phi(T) ].
 
     The F_t-measurable factor Psi(t) is pulled *inside* the conditional
@@ -312,7 +313,7 @@ def estimate_p(prob: AdjointProblem, basis: RegressionBasis = RegressionBasis())
         + (prob.gx_T * prob.phi.X[:, -1])[:, None]
     p_raw = prob.psi.X * payoff
     p_raw[:, -1] = prob.gx_T
-    reg = NodeRegression.fit(prob.x.X[:, :-1], basis)
+    reg = NodeRegression.fit(prob.x.X[:, :-1], RegressionBasis())
     coeffs = reg.coeffs(p_raw[:, :-1])
     p = np.empty_like(p_raw)
     p[:, :-1] = reg.predict(coeffs)
@@ -378,8 +379,11 @@ def estimate_q_bump(prob: AdjointProblem, est: AdjointEstimate,
     and q_j(t_k) = [p^+ - p^-]/(2h) per path.  The fractional co-move weight
     W[k+1,k] ~ dt^{H-1/2} vanishes under refinement, matching the vanishing
     diagonal of the Volterra kernel.  The terminal node is reported as NaN
-    (no increment leaves it).
+    (no increment leaves it).  The terminal bump moves g_x(X_T) by
+    g_xx(X_T) times the state bump, so the problem must carry g_xx.
     """
+    if prob.gxx_T is None:
+        raise UnsupportedModelError("bump oracle needs g_xx along the pair")
     paths = prob.paths
     grid = paths.grid
     if h is None:
@@ -419,15 +423,8 @@ def estimate_q_bump(prob: AdjointProblem, est: AdjointEstimate,
 
 
 def _gx_bumped(prob: AdjointProblem, x_T: np.ndarray) -> np.ndarray:
-    # linearize g_x around the realized terminal state via g_xx when available
-    if prob.gxx_T is not None:
-        return prob.gx_T + prob.gxx_T * (x_T - prob.x.X[:, -1])
-    return np.interp(x_T, *_sorted_pair(prob.x.X[:, -1], prob.gx_T))
-
-
-def _sorted_pair(x, y):
-    order = np.argsort(x)
-    return x[order], y[order]
+    """g_x at bumped terminal states, linearized around X_T through g_xx."""
+    return prob.gx_T + prob.gxx_T * (x_T - prob.x.X[:, -1])
 
 
 @dataclass(frozen=True)

@@ -203,17 +203,9 @@ def _report_header(cfg: dict, suite: str | None = None, checks=()) -> list[str]:
             f"# resolved_config: {json.dumps(cfg, sort_keys=True)}"]
 
 
-def _write_checks(path: Path, header, checks) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header:
-            fh.write(line + "\n")
-        fh.write("name,value,stderr\n")
-        for c in checks:
-            fh.write(c.row() + "\n")
-
-
 def _write_summary(path: Path, header, lines) -> None:
-    with open(path, "w") as fh:
+    """Header lines, then body lines: a summary or a checks CSV."""
+    with open(path, "w", newline="") as fh:
         for line in header:
             fh.write(line + "\n")
         for line in lines:
@@ -244,7 +236,8 @@ def cmd_paths(cfg: dict, out: Path, workers: int, run: Progress) -> int:
     checks = kernel_terminal_variance(paths, "bh_terminal_variance_z")
     checks.append(CheckResult("bm_increment_variance_z", z_inc, 0.0, 4.0,
                               z_inc <= 4.0))
-    _write_checks(out / "covariance_report.csv", _report_header(cfg), checks)
+    _write_summary(out / "covariance_report.csv", _report_header(cfg),
+                   ["name,value,stderr", *(c.row() for c in checks)])
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILURE
 
 
@@ -256,7 +249,8 @@ def cmd_verify(cfg: dict, suite: str, out: Path, run: Progress) -> int:
                        n_paths=cfg["n_paths"], seed=cfg["seed"], T=cfg["T"],
                        table_out=out / f"{suite}_table.csv")
     run.header = _report_header(cfg, suite, checks)
-    _write_checks(out / f"verify_{suite}.csv", run.header, checks)
+    _write_summary(out / f"verify_{suite}.csv", run.header,
+                   ["name,value,stderr", *(c.row() for c in checks)])
     lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}: value={c.value:.6g} "
              f"tol={c.tolerance:.6g} {c.detail}" for c in checks]
     _write_summary(run.summary, run.header, lines)

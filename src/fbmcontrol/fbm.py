@@ -99,9 +99,10 @@ def _freeze(a: np.ndarray | None) -> np.ndarray | None:
 class PathSet:
     """Bundle of simulated paths on a grid, immutable after construction.
 
-    ``dB`` holds Brownian increments (n_paths, m, n_steps); ``B`` their
-    cumulative sums at nodes; ``BH`` the fractional path at nodes when a
-    generator has attached it.  Cholesky-generated sets carry ``BH`` only.
+    ``dB`` holds Brownian increments (n_paths, m, n_steps) and ``BH`` the
+    fractional path at nodes when a generator has attached it; the Brownian
+    path ``B`` at nodes is derived from ``dB``.  Cholesky-generated sets
+    carry ``BH`` only.
     """
 
     grid: TimeGrid
@@ -110,31 +111,39 @@ class PathSet:
     seed: int
     hurst: Hurst | None = None
     dB: np.ndarray | None = None
-    B: np.ndarray | None = None
     BH: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("dB", "B", "BH"):
+        for name in ("dB", "BH"):
             _freeze(getattr(self, name))
-        if self.B is not None and abs(self.B[..., 0]).max(initial=0.0) != 0.0:
-            raise ValueError("B must start at 0 on every path")
         if self.BH is not None and abs(self.BH[..., 0]).max(initial=0.0) != 0.0:
             raise ValueError("B^H must start at 0 on every path")
 
+    @property
+    def B(self) -> np.ndarray | None:
+        """Brownian paths at nodes, (n_paths, m, n_nodes): 0, then the
+        cumulative sums of ``dB``.  A new array on every access."""
+        if self.dB is None:
+            return None
+        B = np.zeros((*self.dB.shape[:-1], self.dB.shape[-1] + 1))
+        np.cumsum(self.dB, axis=-1, out=B[..., 1:])
+        return B
+
     def with_bh(self, hurst: Hurst, bh: np.ndarray) -> "PathSet":
         return PathSet(self.grid, self.m, self.n_paths, self.seed, hurst,
-                       self.dB, self.B, bh)
+                       self.dB, bh)
 
     def to_csv(self, path) -> None:
         """Write rows `path,dim,node,t,B,BH` for every node."""
         node_t = [f"{k},{t:.17g}," for k, t in enumerate(self.grid.nodes.tolist())]
         nan_row = [float("nan")] * self.grid.n_nodes
+        B, BH = self.B, self.BH
         with open(path, "w", newline="") as fh:
             fh.write("path,dim,node,t,B,BH\n")
             for p in range(self.n_paths):
                 for d in range(self.m):
-                    b = self.B[p, d].tolist() if self.B is not None else nan_row
-                    bh = self.BH[p, d].tolist() if self.BH is not None else nan_row
+                    b = B[p, d].tolist() if B is not None else nan_row
+                    bh = BH[p, d].tolist() if BH is not None else nan_row
                     fh.write("".join([f"{p},{d},{kt}{x:.17g},{y:.17g}\n"
                                       for kt, x, y in zip(node_t, b, bh)]))
 
@@ -425,9 +434,7 @@ def generate_bm(grid: TimeGrid, m: int, n_paths: int, seed: int,
             dB = np.concatenate(list(pool.map(
                 draw, [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])])))
     dB *= np.sqrt(grid.dt)
-    B = np.zeros((n_paths, m, grid.n_nodes))
-    np.cumsum(dB, axis=-1, out=B[..., 1:])
-    return PathSet(grid, m, n_paths, int(seed), None, dB, B, None)
+    return PathSet(grid, m, n_paths, int(seed), None, dB, None)
 
 
 def fbm_from_kernel(bm: PathSet, h) -> PathSet:
@@ -471,15 +478,15 @@ def fbm_from_cholesky(grid: TimeGrid, h, m: int, n_paths: int, seed: int) -> Pat
     z = SubstreamSampler(seed).normal_block(range(n_paths), m, grid.n_steps)
     bh = np.zeros((n_paths, m, grid.n_nodes))
     bh[..., 1:] = np.einsum("kj,pdj->pdk", L, z, optimize=True)
-    return PathSet(grid, m, n_paths, int(seed), hurst, None, None, bh)
+    return PathSet(grid, m, n_paths, int(seed), hurst, None, bh)
 
 
 def coarsen(paths: PathSet, factor: int) -> PathSet:
     """Subsample a path set to a coarser grid (same underlying noise).
 
-    Brownian increments are aggregated; node values of B and B^H are the fine
-    values at the surviving nodes, which is the coupling a strong refinement
-    study needs.
+    Brownian increments are aggregated, and B is their cumulative sum; node
+    values of B^H are the fine values at the surviving nodes, which is the
+    coupling a strong refinement study needs.
     """
     if factor < 1 or paths.grid.n_steps % factor:
         raise GridMismatchError(
@@ -489,6 +496,5 @@ def coarsen(paths: PathSet, factor: int) -> PathSet:
     grid = TimeGrid(paths.grid.horizon, paths.grid.n_steps // factor)
     dB = paths.dB.reshape(paths.n_paths, paths.m, grid.n_steps, factor).sum(-1) \
         if paths.dB is not None else None
-    B = paths.B[..., ::factor].copy() if paths.B is not None else None
     BH = paths.BH[..., ::factor].copy() if paths.BH is not None else None
-    return PathSet(grid, paths.m, paths.n_paths, paths.seed, paths.hurst, dB, B, BH)
+    return PathSet(grid, paths.m, paths.n_paths, paths.seed, paths.hurst, dB, BH)

@@ -10,13 +10,12 @@ the comparisons resolve at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import (AdjointEstimate, AdjointProblem, RegressionBasis,
-                      SharedPair, adjoint_problem, estimate_p,
-                      estimate_q_formula)
+from .adjoint import (AdjointEstimate, AdjointProblem, SharedPair,
+                      adjoint_problem, estimate_p, estimate_q_formula)
 from .errors import DomainError, UnsupportedModelError
 from .fbm import PathSet, TimeGrid
 from .sde import (CoefficientModel, ControlProcess, StatePath, euler_mixed,
@@ -150,8 +149,7 @@ def lq_model(spec: LqSpec, scenario: LqScenario = direct_scenario()) -> Coeffici
         sigma=sig, gamma=gam,
         b_x=lambda t, x, u: _node_values(A, t),
         b_u=lambda t, x, u: _node_values(At, t),
-        sigma_x=sig_x, sigma_u=sig_u, gamma_x=gam_x, gamma_u=gam_u,
-        linear_in_state=True)
+        sigma_x=sig_x, sigma_u=sig_u, gamma_x=gam_x, gamma_u=gam_u)
 
 
 @dataclass(frozen=True)
@@ -265,7 +263,6 @@ class PicardOptions:
     theta: float = 0.5          # mixing; undamped iteration can oscillate when M~ != 0
     tol: float = 1e-3           # mean-L2 control change
     max_iter: int = 50
-    basis: RegressionBasis = field(default_factory=RegressionBasis)
     u0: float = 0.0
 
 
@@ -320,7 +317,7 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
     mixer = AndersonMixer(options.theta)
     for it in range(options.max_iter):
         prob = lq_adjoint_problem(spec, model, u, paths, shared)
-        est = estimate_q_formula(prob, estimate_p(prob, options.basis))
+        est = estimate_q_formula(prob, estimate_p(prob))
         shared = shared or prob.shared_part()
         resid = -(at_nodes * est.p
                   + mt_nodes * est.q[scenario.sigma_driver]) / r_nodes
@@ -340,7 +337,7 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
     # final estimates at the returned control, without the mixing history
     mixer = None
     prob = lq_adjoint_problem(spec, model, u, paths, shared)
-    est = estimate_q_formula(prob, estimate_p(prob, options.basis))
+    est = estimate_q_formula(prob, estimate_p(prob))
     cost = _cost_per_path(spec, prob.x, u.values)
     return LqSolution(spec, scenario, u, prob, est,
                       float(cost.mean()),
@@ -500,9 +497,9 @@ def convexity_check(spec: LqSpec, u1: ControlProcess, u2: ControlProcess,
     delta = spec.validate_on(paths.grid)
     model = lq_model(spec, scenario)
     x1 = euler_mixed(model, u1, spec.x0, paths)
+    x2 = euler_mixed(model, u2, spec.x0, paths)
     u1_mat = u1.materialize(x1)
-    u2_mat = u2.materialize(x1)
-    x2 = euler_mixed(model, ControlProcess.from_values(u2_mat), spec.x0, paths)
+    u2_mat = u2.materialize(x2)
     u_mid = ControlProcess.from_values(0.5 * (u1_mat + u2_mat))
     x_mid = euler_mixed(model, u_mid, spec.x0, paths)
     c1 = _cost_per_path(spec, x1, u1_mat)

@@ -60,7 +60,6 @@ class CoefficientModel:
     sigma_u: list
     gamma_x: list
     gamma_u: list
-    linear_in_state: bool = False
 
     def __post_init__(self):
         for name in ("sigma", "gamma", "sigma_x", "sigma_u", "gamma_x", "gamma_u"):
@@ -69,29 +68,23 @@ class CoefficientModel:
 
 
 class ControlProcess:
-    """Admissible control: per-path node values or a feedback rule u(t, x).
+    """Admissible control given by its node values: an (n_paths, n_nodes)
+    array, or one value for every path and node.
 
     Adapted constructions go through :meth:`from_prefix`, whose callback only
     ever sees the Brownian path up to the current node.
     """
 
-    def __init__(self, values: np.ndarray | None = None, feedback=None):
-        if (values is None) == (feedback is None):
-            raise ValueError("provide exactly one of values or feedback")
-        self.values = np.asarray(values, dtype=float) if values is not None else None
-        self.feedback = feedback
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
 
     @classmethod
     def constant(cls, c: float) -> "ControlProcess":
-        return cls(feedback=lambda t, x: np.full_like(np.asarray(x, dtype=float), c))
+        return cls(c)
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "ControlProcess":
-        return cls(values=values)
-
-    @classmethod
-    def from_feedback(cls, fn) -> "ControlProcess":
-        return cls(feedback=fn)
+        return cls(values)
 
     @classmethod
     def from_prefix(cls, paths: PathSet, fn) -> "ControlProcess":
@@ -99,19 +92,19 @@ class ControlProcess:
         receives only the path prefix, which enforces adaptedness structurally."""
         n_nodes = paths.grid.n_nodes
         t = paths.grid.nodes
+        B = paths.B
         vals = np.empty((paths.n_paths, n_nodes))
         for k in range(n_nodes):
-            vals[:, k] = fn(k, t[k], paths.B[..., :k + 1])
-        return cls(values=vals)
+            vals[:, k] = fn(k, t[k], B[..., :k + 1])
+        return cls(vals)
 
     def materialize(self, x: "StatePath") -> np.ndarray:
-        """Node values along a state path, shape (n_paths, n_nodes)."""
-        if self.values is not None:
-            if self.values.shape != x.X.shape:
-                raise GridMismatchError(
-                    f"control shape {self.values.shape} != state shape {x.X.shape}")
-            return self.values
-        return evaluate_along([self.feedback], x.grid.nodes, x.X)[0]
+        """Node values along a state path, shape (n_paths, n_nodes); a
+        constant is a read-only view with stride 0."""
+        if self.values.ndim and self.values.shape != x.X.shape:
+            raise GridMismatchError(
+                f"control shape {self.values.shape} != state shape {x.X.shape}")
+        return np.broadcast_to(self.values, x.X.shape)
 
 
 @dataclass(frozen=True)
@@ -185,12 +178,11 @@ def euler_mixed(model: CoefficientModel, u: ControlProcess, x0: float,
     t = grid.nodes
     dt = grid.dt
     db, dbh = _time_major_increments(paths)
-    uv = None if u.values is None else np.ascontiguousarray(u.values.T)
+    uv = _time_major(np.broadcast_to(u.values, (paths.n_paths, grid.n_nodes)))
     X = np.empty((grid.n_nodes, paths.n_paths))
     X[0] = x0
     for k in range(grid.n_steps):
-        xk = X[k]
-        uk = uv[k] if uv is not None else np.asarray(u.feedback(t[k], xk), dtype=float)
+        xk, uk = X[k], uv[k]
         inc = model.b(t[k], xk, uk) * dt
         for j in range(model.m):
             inc = inc + model.sigma[j](t[k], xk, uk) * db[k, j] \
@@ -209,7 +201,6 @@ class Linearization:
     over paths.
     """
 
-    grid: TimeGrid
     bx: np.ndarray
     bu: np.ndarray
     sx: np.ndarray
@@ -244,7 +235,7 @@ def linearize(model: CoefficientModel, x: StatePath, u: ControlProcess) -> Linea
     """Evaluate all first partials along (X*, u*) on the whole grid."""
     at = (x.grid.nodes, x.X, u.materialize(x))
     bx, bu = evaluate_along([model.b_x, model.b_u], *at)
-    return Linearization(x.grid, bx, bu, evaluate_along(model.sigma_x, *at),
+    return Linearization(bx, bu, evaluate_along(model.sigma_x, *at),
                          evaluate_along(model.sigma_u, *at),
                          evaluate_along(model.gamma_x, *at),
                          evaluate_along(model.gamma_u, *at))
@@ -294,7 +285,8 @@ def fundamental_psi(lin: Linearization, paths: PathSet) -> StatePath:
 def _time_major(a: np.ndarray) -> np.ndarray:
     """(..., n_paths, n_nodes) as (n_nodes, ..., n_paths).
 
-    A partial stored once per node keeps one value per node, shape
+    An array held once per node (stride 0 over paths), such as a time-only
+    partial or a constant control, keeps one value per node, shape
     (n_nodes, ..., 1), which broadcasts over paths; any other array is copied
     so that each node's row is contiguous.
     """

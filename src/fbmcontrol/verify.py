@@ -195,7 +195,7 @@ def _gamma_only_model(c=0.3):
         m=1, b=zero, sigma=[zero], gamma=[lambda t, x, u: c * x],
         b_x=node_zero, b_u=node_zero, sigma_x=[node_zero], sigma_u=[node_zero],
         gamma_x=[lambda t, x, u: np.full(np.shape(t), c)],
-        gamma_u=[node_zero], linear_in_state=True)
+        gamma_u=[node_zero])
 
 
 def phi_psi_refinement(fine: PathSet) -> list[CheckResult]:

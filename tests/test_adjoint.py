@@ -29,7 +29,7 @@ def one(t, x, u):
 def trivial_model():
     return CoefficientModel(m=1, b=zero, sigma=[zero], gamma=[zero], b_x=zero,
                             b_u=zero, sigma_x=[zero], sigma_u=[zero],
-                            gamma_x=[zero], gamma_u=[zero], linear_in_state=True)
+                            gamma_x=[zero], gamma_u=[zero])
 
 
 def lq_fixture():
@@ -125,8 +125,7 @@ class TestQEstimation:
         model = CoefficientModel(m=1, b=zero, sigma=[lambda t, x, u: np.sin(x)],
                                  gamma=[zero], b_x=zero, b_u=zero,
                                  sigma_x=[lambda t, x, u: np.cos(x)], sigma_u=[zero],
-                                 gamma_x=[zero], gamma_u=[zero],
-                                 linear_in_state=True)
+                                 gamma_x=[zero], gamma_u=[zero])
         prob = adjoint_problem(model, ControlProcess.constant(0.0), 1.0,
                                coupled_paths_256, fx_fn=one, fu_fn=zero,
                                gx_fn=lambda x: x, fxx_fn=zero,
@@ -172,13 +171,46 @@ class TestQEstimation:
             m=1, b=zero, sigma=[lambda t, x, u: np.sin(x)], gamma=[zero],
             b_x=zero, b_u=zero, sigma_x=[lambda t, x, u: np.cos(x)],
             sigma_u=[zero], gamma_x=[zero], gamma_u=[zero])
-        for linear in (False, True):  # undeclared, or declared but not so
-            nonlinear.linear_in_state = linear
-            prob = adjoint_problem(nonlinear, ControlProcess.constant(0.0), 1.0,
-                                   coupled_paths_256, fx_fn=one, fu_fn=zero,
-                                   gx_fn=lambda x: x)
-            with pytest.raises(UnsupportedModelError):
-                prob.sigma_x_deterministic()
+        prob = adjoint_problem(nonlinear, ControlProcess.constant(0.0), 1.0,
+                               coupled_paths_256, fx_fn=one, fu_fn=zero,
+                               gx_fn=lambda x: x)
+        with pytest.raises(UnsupportedModelError):
+            prob.sigma_x_deterministic()
+
+    @pytest.mark.parametrize("varying", ["b_x", "gamma_x"])
+    def test_formula_rejects_partials_varying_across_paths(self, varying,
+                                                           coupled_paths_256):
+        # sigma_x is one value per node; b_x or gamma_x depends on the state
+        node = lambda t, x, u: np.full(np.shape(t), 0.2)
+        parts = {"b_x": node, "gamma_x": node,
+                 varying: lambda t, x, u: 0.1 * np.cos(x)}
+        model = CoefficientModel(m=1, b=zero, sigma=[lambda t, x, u: 0.2 * x],
+                                 gamma=[zero], b_x=parts["b_x"], b_u=zero,
+                                 sigma_x=[node], sigma_u=[zero],
+                                 gamma_x=[parts["gamma_x"]], gamma_u=[zero])
+        prob = adjoint_problem(model, ControlProcess.constant(0.0), 1.0,
+                               coupled_paths_256, fx_fn=one, fu_fn=zero,
+                               gx_fn=lambda x: x, fxx_fn=zero,
+                               gxx_fn=lambda x: np.ones_like(x))
+        with pytest.raises(UnsupportedModelError, match=varying):
+            estimate_q_formula(prob, estimate_p(prob))
+
+    def test_formula_accepts_constant_per_path_partials(self, coupled_paths_256):
+        # trivial_model returns its zero partials per path, not once per node
+        prob = adjoint_problem(trivial_model(), ControlProcess.constant(0.0),
+                               1.0, coupled_paths_256, fx_fn=one, fu_fn=zero,
+                               gx_fn=lambda x: x, fxx_fn=zero,
+                               gxx_fn=lambda x: np.zeros_like(x))
+        assert prob.lin.sx.strides[1] != 0
+        assert np.array_equal(prob.sigma_x_deterministic(),
+                              np.zeros((1, prob.paths.grid.n_nodes)))
+
+    def test_bump_needs_gxx(self, coupled_paths_256):
+        prob = adjoint_problem(trivial_model(), ControlProcess.constant(0.0),
+                               1.0, coupled_paths_256, fx_fn=zero, fu_fn=zero,
+                               gx_fn=lambda x: x)
+        with pytest.raises(UnsupportedModelError):
+            estimate_q_bump(prob, estimate_p(prob))
 
     def test_bump_zero_for_constant_p(self, coupled_paths_256):
         prob = adjoint_problem(trivial_model(), ControlProcess.constant(0.0),
@@ -261,8 +293,7 @@ class TestResiduals:
                                  gamma=[lambda t, x, u: 0.1 * u], b_x=zero,
                                  b_u=zero, sigma_x=[zero], sigma_u=[zero],
                                  gamma_x=[zero],
-                                 gamma_u=[lambda t, x, u: np.full_like(x, 0.1)],
-                                 linear_in_state=True)
+                                 gamma_u=[lambda t, x, u: np.full_like(x, 0.1)])
         prob = adjoint_problem(model, ControlProcess.constant(0.0), 1.0,
                                coupled_paths_256, fx_fn=zero, fu_fn=zero,
                                gx_fn=lambda x: x, fxx_fn=zero,

@@ -451,6 +451,20 @@ class TestPathSetPlumbing:
         assert np.allclose(c.dB.sum(-1), coupled_paths_fine.dB.sum(-1))
         assert np.array_equal(c.BH[..., -1], coupled_paths_fine.BH[..., -1])
 
+    def test_b_derived_bitwise_from_increments(self, coupled_paths_256):
+        ps = coupled_paths_256
+        ref = np.zeros((ps.n_paths, ps.m, ps.grid.n_nodes))
+        np.cumsum(ps.dB, axis=-1, out=ref[..., 1:])
+        assert np.array_equal(ps.B, ref)
+        ch = fbm_from_cholesky(TimeGrid(1.0, 8), 0.75, 1, 10, seed=0)
+        assert ch.B is None
+
+    def test_coarsened_b_is_cumsum_of_coarse_increments(self, coupled_paths_256):
+        c = coarsen(coupled_paths_256, 4)
+        ref = np.zeros((c.n_paths, c.m, c.grid.n_nodes))
+        np.cumsum(c.dB, axis=-1, out=ref[..., 1:])
+        assert np.array_equal(c.B, ref)
+
     def test_coarsen_rejects_nondivisor(self, coupled_paths_256):
         with pytest.raises(GridMismatchError):
             coarsen(coupled_paths_256, 3)

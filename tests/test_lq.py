@@ -424,6 +424,16 @@ class TestConvexity:
         rep = convexity_check(mixed_spec(), u1, u2, paths)
         assert rep.state_midpoint_gap < 1e-12
 
+    def test_path_dependent_u2_costs_its_own_state(self, paths):
+        # u2 = -0.8 X along an earlier state, so u2 differs path by path:
+        # J2 is the cost of u2 on its own state, not along u1's
+        spec = mixed_spec()
+        x_prev = euler_mixed(lq_model(spec), ControlProcess.constant(0.3),
+                             spec.x0, paths)
+        u2 = ControlProcess.from_values(-0.8 * x_prev.X)
+        rep = convexity_check(spec, ControlProcess.constant(0.0), u2, paths)
+        assert rep.J2 == lq_cost(spec, u2, paths).J
+
 
 class TestIndependentDriverScenario:
     def test_reduction_to_single_driver(self, paths, paths_m2):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fbmcontrol.errors import BlowupError, DomainError
+from fbmcontrol.errors import BlowupError, DomainError, GridMismatchError
 from fbmcontrol.fbm import TimeGrid, coarsen, fbm_from_kernel, generate_bm
 from fbmcontrol.lq import LqSpec, independent_bm_scenario, lq_model
 from fbmcontrol.sde import (BLOWUP_LIMIT, INCREMENT_BLOCK, CoefficientModel,
@@ -28,10 +28,10 @@ def const(c):
 
 
 def make_model(b=zero, s=zero, g=zero, bx=zero, bu=zero, sx=zero, su=zero,
-               gx=zero, gu=zero, linear=False):
+               gx=zero, gu=zero):
     return CoefficientModel(m=1, b=b, sigma=[s], gamma=[g], b_x=bx, b_u=bu,
                             sigma_x=[sx], sigma_u=[su], gamma_x=[gx],
-                            gamma_u=[gu], linear_in_state=linear)
+                            gamma_u=[gu])
 
 
 def euler_maruyama_reference(b, s, u, x0, paths):
@@ -40,8 +40,9 @@ def euler_maruyama_reference(b, s, u, x0, paths):
     X = np.empty((paths.n_paths, grid.n_nodes))
     X[:, 0] = x0
     t = grid.nodes
+    uv = np.broadcast_to(u.values, X.shape)
     for k in range(grid.n_steps):
-        uk = u.feedback(t[k], X[:, k])
+        uk = uv[:, k]
         inc = b(t[k], X[:, k], uk) * grid.dt
         inc = inc + s(t[k], X[:, k], uk) * paths.dB[:, 0, k]
         X[:, k + 1] = X[:, k] + inc
@@ -100,7 +101,12 @@ class TestControlProcess:
     def test_constant_materializes(self, coupled_paths_256):
         u = ControlProcess.constant(2.0)
         x = euler_mixed(make_model(), u, 0.0, coupled_paths_256)
-        assert np.all(u.materialize(x) == 2.0)
+        uv = u.materialize(x)
+        assert np.all(uv == 2.0)
+        # one stored value, read as a stride-0 view
+        assert u.values.shape == ()
+        assert uv.shape == x.X.shape and uv.strides == (0, 0)
+        assert not uv.flags.writeable
 
     def test_prefix_construction_is_adapted(self, coupled_paths_256):
         # callback only ever sees B up to the current node
@@ -114,9 +120,36 @@ class TestControlProcess:
         assert seen == list(range(1, coupled_paths_256.grid.n_nodes + 1))
         assert np.array_equal(u.values, coupled_paths_256.B[:, 0, :])
 
-    def test_exactly_one_source(self):
-        with pytest.raises(ValueError):
-            ControlProcess()
+    def test_wrong_shape_rejected(self, coupled_paths_256):
+        x = euler_mixed(make_model(), ControlProcess.constant(0.0), 0.0,
+                        coupled_paths_256)
+        u = ControlProcess.from_values(np.zeros((3, x.grid.n_nodes)))
+        with pytest.raises(GridMismatchError):
+            u.materialize(x)
+
+
+@pytest.mark.parametrize("name", ["nonlinear", "lq_two_drivers"])
+def test_constant_control_matches_full_values_bitwise(name, coupled_paths_256):
+    # m = 1 with per-path partials; m = 2 with u in sigma
+    if name == "nonlinear":
+        model, paths = nonlinear_lemma_model(), coupled_paths_256
+    else:
+        spec = LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3)
+        model = lq_model(spec, independent_bm_scenario())
+        paths = fbm_from_kernel(generate_bm(TimeGrid(1.0, 64), 2, 300, seed=9), 0.75)
+    shape = (paths.n_paths, paths.grid.n_nodes)
+    const_u = ControlProcess.constant(0.4)
+    full_u = ControlProcess.from_values(np.full(shape, 0.4))
+    xc = euler_mixed(model, const_u, 1.0, paths)
+    xf = euler_mixed(model, full_u, 1.0, paths)
+    assert np.array_equal(xc.X, xf.X)
+    lc, lf = linearize(model, xc, const_u), linearize(model, xf, full_u)
+    for name in ("bx", "bu", "sx", "su", "gx", "gu"):
+        assert np.array_equal(getattr(lc, name), getattr(lf, name))
+    v = ControlProcess.constant(1.0)
+    yc = variation_direct(lc, v.materialize(xc), paths)
+    yf = variation_direct(lf, np.full(shape, 1.0), paths)
+    assert np.array_equal(yc.X, yf.X)
 
 
 @pytest.mark.parametrize("m,n_paths,n_steps", [
@@ -404,7 +437,7 @@ class TestLemma1:
         # linear dynamics: the discrete expansion is exact, any eps
         model = make_model(b=lambda t, x, u: -x + u, s=lambda t, x, u: 0.2 * x,
                            g=lambda t, x, u: 0.3 * x, bx=const(-1.0), bu=one,
-                           sx=const(0.2), gx=const(0.3), linear=True)
+                           sx=const(0.2), gx=const(0.3))
         rows = lemma1_experiment(model, ControlProcess.constant(0.0),
                                  ControlProcess.constant(1.0),
                                  [0.2, 0.05], coupled_paths_256, x0=1.0)
