@@ -10,15 +10,13 @@ from .fbm import (Hurst, PathSet, TimeGrid, coarsen, fbm_covariance,
 from .transforms import (GridFunction, gamma_star, isometry_check, phi_kernel,
                          phi_norm_sq, transfer_check)
 from .sde import (CoefficientModel, ControlProcess, StatePath, euler_mixed,
-                  discrete_alpha_norm, fundamental_phi, fundamental_psi,
-                  lemma1_experiment, linearize, variation_direct,
-                  variation_explicit)
-from .adjoint import (AdjointEstimate, AdjointProblem, RegressionBasis,
-                      adjoint_problem, bsde_residual, estimate_p,
-                      estimate_q_bump, estimate_q_formula, stationarity_residual)
-from .lq import (LqSpec, PicardOptions, convexity_check, direct_scenario,
-                 independent_bm_scenario, lq_adjoint_problem, lq_cost, lq_model,
-                 lq_picard_solve, optimality_sweep, random_adapted_directions,
-                 riccati_oracle)
+                  fundamental_phi, fundamental_psi, lemma1_experiment,
+                  linearize, variation_direct, variation_explicit)
+from .adjoint import (AdjointEstimate, AdjointProblem, adjoint_problem,
+                      bsde_residual, estimate_p, estimate_q_bump,
+                      estimate_q_formula, stationarity_residual)
+from .lq import (LqSpec, PicardOptions, convexity_check, lq_adjoint_problem,
+                 lq_cost, lq_model, lq_picard_solve, optimality_sweep,
+                 random_adapted_directions, riccati_oracle)
 
 __version__ = "0.1.0"

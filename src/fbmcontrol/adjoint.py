@@ -26,7 +26,6 @@ from .sde import ControlProcess, CoefficientModel, Linearization, StatePath, \
     euler_mixed, evaluate_along, fundamental_phi, fundamental_psi, linearize
 
 __all__ = [
-    "RegressionBasis",
     "NodeRegression",
     "AdjointProblem",
     "SharedPair",
@@ -41,24 +40,18 @@ __all__ = [
 ]
 
 # nodes per block in the bump oracle: its feature arrays stay at
-# (n_paths, BUMP_BLOCK_NODES, degree+1) whatever the grid
+# (n_paths, BUMP_BLOCK_NODES, REGRESSION_DEGREE+1) whatever the grid
 BUMP_BLOCK_NODES = 32
 
-
-@dataclass(frozen=True)
-class RegressionBasis:
-    """Polynomial basis in the current state with trace-scaled ridge."""
-
-    degree: int = 2
-    ridge: float = 1e-8
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("basis degree must be >= 1")
+# regression basis: powers 0..REGRESSION_DEGREE of the centered, scaled
+# state, with a ridge of REGRESSION_RIDGE times the mean Gram diagonal
+REGRESSION_DEGREE = 2
+REGRESSION_RIDGE = 1e-8
 
 
-def _basis(x: np.ndarray, center, scale, degree: int) -> np.ndarray:
-    """Powers z^0 .. z^degree of z = (x - center)/scale along a new last axis.
+def _basis(x: np.ndarray, center, scale) -> np.ndarray:
+    """Powers z^0 .. z^REGRESSION_DEGREE of z = (x - center)/scale along a
+    new last axis.
 
     A node with zero spread (e.g. t = 0) gets z = 0, so its regression is the
     plain mean.  Powers come from repeated products, which are much faster
@@ -66,9 +59,9 @@ def _basis(x: np.ndarray, center, scale, degree: int) -> np.ndarray:
     """
     spread = scale > 0
     z = np.where(spread, x - center, 0.0) / np.where(spread, scale, 1.0)
-    out = np.empty((*z.shape, degree + 1))
+    out = np.empty((*z.shape, REGRESSION_DEGREE + 1))
     out[..., 0] = 1.0
-    for i in range(1, degree + 1):
+    for i in range(1, REGRESSION_DEGREE + 1):
         out[..., i] = out[..., i - 1] * z
     return out
 
@@ -91,22 +84,19 @@ class NodeRegression:
     gram_r: np.ndarray   # gram plus the trace-scaled ridge
 
     @classmethod
-    def fit(cls, X: np.ndarray, basis: RegressionBasis) -> "NodeRegression":
+    def fit(cls, X: np.ndarray) -> "NodeRegression":
         """Fit on the state columns of X, shape (n_paths, n_fit)."""
         center = X.mean(axis=0)
         # exactly 0 where every path is in one state: the rounding in a
         # batched std must not turn a constant node into a regression
         scale = np.where(np.ptp(X, axis=0) > 0, X.std(axis=0), 0.0)
-        design = _basis(X, center, scale, basis.degree)
+        design = _basis(X, center, scale)
         gram = np.einsum("pki,pkj->kij", design, design, optimize=True)
-        lam = basis.ridge * np.trace(gram, axis1=1, axis2=2) / (basis.degree + 1)
-        penalized = np.eye(basis.degree + 1)
+        lam = REGRESSION_RIDGE * np.trace(gram, axis1=1, axis2=2) \
+            / (REGRESSION_DEGREE + 1)
+        penalized = np.eye(REGRESSION_DEGREE + 1)
         penalized[0, 0] = 0.0  # unpenalized intercept: constants reproduce exactly
         return cls(center, scale, design, gram, gram + lam[:, None, None] * penalized)
-
-    @property
-    def degree(self) -> int:
-        return self.design.shape[-1] - 1
 
     def coeffs(self, y: np.ndarray) -> np.ndarray:
         """Coefficients (n_fit, degree+1) for targets y of shape (n_paths, n_fit)."""
@@ -123,7 +113,7 @@ class NodeRegression:
 
     def features(self, x: np.ndarray, nodes: slice) -> np.ndarray:
         """Basis at new states x, whose columns are the given nodes."""
-        return _basis(x, self.center[nodes], self.scale[nodes], self.degree)
+        return _basis(x, self.center[nodes], self.scale[nodes])
 
     def coeff_cov(self) -> np.ndarray:
         """Gr^-1 G Gr^-1 per node: coefficient covariance per unit residual variance."""
@@ -313,7 +303,7 @@ def estimate_p(prob: AdjointProblem) -> AdjointEstimate:
         + (prob.gx_T * prob.phi.X[:, -1])[:, None]
     p_raw = prob.psi.X * payoff
     p_raw[:, -1] = prob.gx_T
-    reg = NodeRegression.fit(prob.x.X[:, :-1], RegressionBasis())
+    reg = NodeRegression.fit(prob.x.X[:, :-1])
     coeffs = reg.coeffs(p_raw[:, :-1])
     p = np.empty_like(p_raw)
     p[:, :-1] = reg.predict(coeffs)
@@ -394,12 +384,12 @@ def estimate_q_bump(prob: AdjointProblem, est: AdjointEstimate,
     # node k's bump lands on node k+1: regression nodes 1.., then the terminal node
     c = est.p_coeffs[1:]
     resid = est.p_raw[:, :-1] - est.p[:, :-1]
-    resid_var = (resid ** 2).sum(axis=0) / max(n_paths - reg.degree - 1, 1)
+    resid_var = (resid ** 2).sum(axis=0) / max(n_paths - REGRESSION_DEGREE - 1, 1)
     cov_c = (resid_var[:, None, None] * reg.coeff_cov())[1:]
     q = np.full((prob.m, n_paths, n_nodes), np.nan)
     se = np.full((prob.m, n_nodes), np.nan)
     X = prob.x.X
-    wvec = np.empty((n_nodes - 2, reg.degree + 1))
+    wvec = np.empty((n_nodes - 2, REGRESSION_DEGREE + 1))
     for j in range(prob.m):
         sig, gam = prob.sigma_vals[j], prob.gamma_vals[j]
         for start in range(0, n_nodes - 2, BUMP_BLOCK_NODES):

@@ -22,9 +22,8 @@ from .adjoint import stationarity_residual, bsde_residual
 from .errors import (BlowupError, DomainError, FactorizationError,
                      RegressionError)
 from .fbm import Hurst, PathSet, TimeGrid, fbm_from_kernel, generate_bm
-from .lq import (LqSpec, PicardOptions, convexity_check, direct_scenario,
-                 independent_bm_scenario, lq_picard_solve, optimality_sweep,
-                 riccati_oracle, random_adapted_directions)
+from .lq import (LqSpec, PicardOptions, convexity_check, lq_picard_solve,
+                 optimality_sweep, riccati_oracle, random_adapted_directions)
 from .sde import ControlProcess
 from .verify import (IGNORED_CONFIG, CheckResult, kernel_terminal_variance,
                      ran_at, run_suite, suite_names)
@@ -264,7 +263,6 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
         print(f"config error: solve-lq takes m = 1, or m = 2 for an independent "
               f"Brownian motion, got m = {cfg['m']}", file=sys.stderr)
         return EXIT_USAGE
-    scenario = independent_bm_scenario() if cfg["m"] == 2 else direct_scenario()
     spec = lq_spec_from_config(cfg)
     grid = TimeGrid(cfg["T"], cfg["n_steps"])
     try:
@@ -280,7 +278,7 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
     options = PicardOptions(theta=cfg["theta"], tol=cfg["tol"],
                             max_iter=cfg["max_iter"], u0=cfg["u0"])
     run.stage = "picard"
-    sol = lq_picard_solve(spec, paths, options, scenario)
+    sol = lq_picard_solve(spec, paths, options)
     lines += [f"converged: {sol.converged}",
               f"iterations: {len(sol.iterations)}",
               f"theta: {cfg['theta']}  tol: {cfg['tol']}  max_iter: {cfg['max_iter']}",
@@ -297,7 +295,8 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
         node_t = [f"{k},{t:.17g}," for k, t in enumerate(grid.nodes.tolist())]
         for p, u in enumerate(sol.u.values[:n_dump].tolist()):
             fh.write("".join([f"{p},{kt}{x:.17g}\n" for kt, x in zip(node_t, u)]))
-    sol.estimate.to_csv(out / "adjoint.csv")
+    # q of the driver the control acts through (W when m = 2)
+    sol.estimate.to_csv(out / "adjoint.csv", paths.m - 1)
 
     exit_code = EXIT_OK
     if not sol.converged:
@@ -330,8 +329,7 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
     run.stage = "optimality_sweep"
     directions = random_adapted_directions(paths, cfg["n_directions"],
                                            cfg["seed"] + 99)
-    rows = optimality_sweep(spec, sol.u, directions, cfg["eps_list"], paths,
-                            scenario)
+    rows = optimality_sweep(spec, sol.u, directions, cfg["eps_list"], paths)
     n_bad = sum((not r.diff_ok()) or (not r.deriv_ok()) for r in rows)
     lines.append(f"optimality_sweep: {len(rows)} rows, {n_bad} violations")
     with open(out / "optimality_sweep.csv", "w", newline="") as fh:
@@ -345,7 +343,7 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
     run.stage = "convexity"
     conv = convexity_check(spec, sol.u,
                            ControlProcess.from_values(sol.u.values + 0.5),
-                           paths, scenario)
+                           paths)
     lines.append(f"convexity margin: {conv.margin_mean:.6e} "
                  f"+- {conv.margin_stderr:.2e} (holds: {conv.holds()})")
     if not conv.holds():

@@ -416,9 +416,10 @@ def generate_bm(grid: TimeGrid, m: int, n_paths: int, seed: int,
     """Independent Brownian paths from per-(path, dim) keyed substreams.
 
     Increments are N(0, dt) per path/dimension/step; the result is a pure
-    function of (seed, grid, m, n_paths).  ``workers`` threads draw
-    index-defined blocks of paths, each from its own per-path substreams, so
-    the assembled array is the same for every worker count.
+    function of (seed, grid, m, n_paths).  The paths are cut into ``workers``
+    index-defined blocks, each drawn from its own per-path substreams, so the
+    assembled array is the same for every worker count; the blocks run on at
+    most one thread per available CPU.
     """
     if m < 1 or n_paths < 1:
         raise ValueError("m and n_paths must be >= 1")
@@ -430,7 +431,7 @@ def generate_bm(grid: TimeGrid, m: int, n_paths: int, seed: int,
         dB = draw(range(n_paths))
     else:
         bounds = np.linspace(0, n_paths, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, _kernel_threads())) as pool:
             dB = np.concatenate(list(pool.map(
                 draw, [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])])))
     dB *= np.sqrt(grid.dt)

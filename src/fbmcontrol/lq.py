@@ -23,11 +23,9 @@ from .sde import (CoefficientModel, ControlProcess, StatePath, euler_mixed,
 
 __all__ = [
     "LqSpec",
-    "LqScenario",
     "LqSolution",
     "PicardOptions",
     "lq_model",
-    "independent_bm_scenario",
     "lq_cost",
     "lq_picard_solve",
     "riccati_oracle",
@@ -95,31 +93,18 @@ class LqSpec:
         return bool(np.abs(_node_values(self.fns()["N"], grid.nodes)).max() == 0.0)
 
 
-@dataclass(frozen=True)
-class LqScenario:
-    """Driver wiring of an LQ model: which drivers carry M x + M~ u and N x."""
+def lq_model(spec: LqSpec, m: int = 1) -> CoefficientModel:
+    """Coefficient model of the LQ state equation on m drivers.
 
-    m: int
-    sigma_driver: int  # index of the Brownian-diffusion driver
-    gamma_driver: int  # index of the fractional-diffusion driver
-
-
-def direct_scenario() -> LqScenario:
-    """Single driver: the fractional path rides on the same Brownian motion."""
-    return LqScenario(1, 0, 0)
-
-
-def independent_bm_scenario() -> LqScenario:
-    """Stacked two-driver model for an independent Brownian motion W.
-
-    sigma~ = (0, sigma) and gamma~ = (gamma, 0) over drivers (B, W) with
-    coupled (B^H, W^H); every downstream operation runs unchanged on m = 2.
+    m = 1 is the mixed case: M x + M~ u and N x both ride driver 0, so B^H
+    is built from the same B.  m = 2 is an fBm with an independent Brownian
+    motion W, stacked as sigma~ = (0, sigma) and gamma~ = (gamma, 0) over
+    drivers (B, W): N x rides driver 0 (the B that carries B^H) and
+    M x + M~ u driver 1 (W).  So the Brownian diffusion always rides driver
+    m - 1, and every downstream operation runs unchanged on m = 2.
     """
-    return LqScenario(2, 1, 0)
-
-
-def lq_model(spec: LqSpec, scenario: LqScenario = direct_scenario()) -> CoefficientModel:
-    """Coefficient model of the LQ state equation under the given wiring."""
+    if m not in (1, 2):
+        raise DomainError(f"the LQ model takes m = 1 or m = 2 drivers, got m = {m}")
     f = spec.fns()
     A, At, M, Mt, N = f["A"], f["A_tilde"], f["M"], f["M_tilde"], f["N"]
     # partials depend on time only: one value per node, never per path
@@ -131,20 +116,20 @@ def lq_model(spec: LqSpec, scenario: LqScenario = direct_scenario()) -> Coeffici
     def gamma_fn(t, x, u):
         return N(t) * x
 
-    sig = [zero] * scenario.m
-    gam = [zero] * scenario.m
-    sig_x = [zero] * scenario.m
-    sig_u = [zero] * scenario.m
-    gam_x = [zero] * scenario.m
-    gam_u = [zero] * scenario.m
-    sig[scenario.sigma_driver] = sigma_fn
-    sig_x[scenario.sigma_driver] = lambda t, x, u: _node_values(M, t)
-    sig_u[scenario.sigma_driver] = lambda t, x, u: _node_values(Mt, t)
-    gam[scenario.gamma_driver] = gamma_fn
-    gam_x[scenario.gamma_driver] = lambda t, x, u: _node_values(N, t)
+    sig = [zero] * m
+    gam = [zero] * m
+    sig_x = [zero] * m
+    sig_u = [zero] * m
+    gam_x = [zero] * m
+    gam_u = [zero] * m
+    sig[m - 1] = sigma_fn
+    sig_x[m - 1] = lambda t, x, u: _node_values(M, t)
+    sig_u[m - 1] = lambda t, x, u: _node_values(Mt, t)
+    gam[0] = gamma_fn
+    gam_x[0] = lambda t, x, u: _node_values(N, t)
 
     return CoefficientModel(
-        m=scenario.m,
+        m=m,
         b=lambda t, x, u: A(t) * x + At(t) * u,
         sigma=sig, gamma=gam,
         b_x=lambda t, x, u: _node_values(A, t),
@@ -170,12 +155,11 @@ def _cost_per_path(spec: LqSpec, x: StatePath, u_values: np.ndarray) -> np.ndarr
 
 
 def lq_cost(spec: LqSpec, u: ControlProcess, paths: PathSet,
-            scenario: LqScenario = direct_scenario(),
             x: StatePath | None = None) -> CostEstimate:
     """Monte Carlo cost J(u) = (1/2) E[ int (Q X^2 + R u^2) dt + G X(T)^2 ]."""
     spec.validate_on(paths.grid)
     if x is None:
-        x = euler_mixed(lq_model(spec, scenario), u, spec.x0, paths)
+        x = euler_mixed(lq_model(spec, paths.m), u, spec.x0, paths)
     per_path = _cost_per_path(spec, x, u.materialize(x))
     return CostEstimate(float(per_path.mean()),
                         float(per_path.std(ddof=1) / np.sqrt(len(per_path))),
@@ -269,7 +253,6 @@ class PicardOptions:
 @dataclass
 class LqSolution:
     spec: LqSpec
-    scenario: LqScenario
     u: ControlProcess
     problem: AdjointProblem
     estimate: AdjointEstimate
@@ -288,9 +271,8 @@ def _mean_l2(du: np.ndarray, dt: float) -> float:
 
 
 def lq_picard_solve(spec: LqSpec, paths: PathSet,
-                    options: PicardOptions | None = None,
-                    scenario: LqScenario = direct_scenario()) -> LqSolution:
-    """Fixed-point iteration on u = -R^{-1}(A~ p + sum_j M~_j q_j).
+                    options: PicardOptions | None = None) -> LqSolution:
+    """Fixed-point iteration on u = -R^{-1}(A~ p + M~ q), q of driver m - 1.
 
     Each sweep simulates the state under the current control, re-estimates
     (p, q) from the explicit representations, and moves the control to the
@@ -304,7 +286,7 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
     options = options or PicardOptions()
     delta = spec.validate_on(paths.grid)
     assert delta > 0
-    model = lq_model(spec, scenario)
+    model = lq_model(spec, paths.m)
     f = spec.fns()
     r_nodes, at_nodes, mt_nodes = (_node_values(f[name], paths.grid.nodes)
                                    for name in ("R", "A_tilde", "M_tilde"))
@@ -320,7 +302,7 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
         est = estimate_q_formula(prob, estimate_p(prob))
         shared = shared or prob.shared_part()
         resid = -(at_nodes * est.p
-                  + mt_nodes * est.q[scenario.sigma_driver]) / r_nodes
+                  + mt_nodes * est.q[paths.m - 1]) / r_nodes
         resid -= u.values  # target - u
         change = options.theta * _mean_l2(resid, paths.grid.dt)
         cost = _cost_per_path(spec, prob.x, u.values)
@@ -339,7 +321,7 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
     prob = lq_adjoint_problem(spec, model, u, paths, shared)
     est = estimate_q_formula(prob, estimate_p(prob))
     cost = _cost_per_path(spec, prob.x, u.values)
-    return LqSolution(spec, scenario, u, prob, est,
+    return LqSolution(spec, u, prob, est,
                       float(cost.mean()),
                       float(cost.std(ddof=1) / np.sqrt(len(cost))),
                       log, converged)
@@ -353,11 +335,15 @@ class RiccatiSolution:
     J: float
 
 
-def riccati_oracle(spec: LqSpec, grid: TimeGrid, n_fine: int = 4096) -> RiccatiSolution:
+# RK4 steps of the Riccati oracle on [0, T], whatever the working grid
+RICCATI_STEPS = 4096
+
+
+def riccati_oracle(spec: LqSpec, grid: TimeGrid) -> RiccatiSolution:
     """Classical stochastic-LQ Riccati solution for the N == 0 sub-case.
 
     Solves -P' = 2AP + M^2 P + Q - (A~ P + M M~ P)^2 / (R + M~^2 P), P(T) = G
-    backward with RK4 on a fine grid; returns the feedback gain
+    backward with RK4 in RICCATI_STEPS steps; returns the feedback gain
     K = (A~ P + M M~ P)/(R + M~^2 P) and the closed-form cost J = P(0) x0^2 / 2.
     """
     if not spec.is_brownian_only(grid):
@@ -371,11 +357,11 @@ def riccati_oracle(spec: LqSpec, grid: TimeGrid, n_fine: int = 4096) -> RiccatiS
         denom = R(t) + Mt(t) ** 2 * p
         return -(2 * A(t) * p + M(t) ** 2 * p + Q(t) - gain_num ** 2 / denom)
 
-    ts = np.linspace(0.0, spec.T, n_fine + 1)
-    h = -spec.T / n_fine
-    P = np.empty(n_fine + 1)
+    ts = np.linspace(0.0, spec.T, RICCATI_STEPS + 1)
+    h = -spec.T / RICCATI_STEPS
+    P = np.empty(RICCATI_STEPS + 1)
     P[-1] = spec.G
-    for i in range(n_fine, 0, -1):
+    for i in range(RICCATI_STEPS, 0, -1):
         t0, p0 = ts[i], P[i]
         k1 = rhs(t0, p0)
         k2 = rhs(t0 + h / 2, p0 + h / 2 * k1)
@@ -425,8 +411,7 @@ class SweepRow:
 
 def optimality_sweep(spec: LqSpec, u_star: ControlProcess,
                      directions: list[ControlProcess], eps_list,
-                     paths: PathSet,
-                     scenario: LqScenario = direct_scenario()) -> list[SweepRow]:
+                     paths: PathSet) -> list[SweepRow]:
     """Cost differences and directional derivatives around u*, common random numbers.
 
     For each direction v and eps: J(u* + eps v) - J(u*) (must not be
@@ -444,7 +429,7 @@ def optimality_sweep(spec: LqSpec, u_star: ControlProcess,
     costs one variation run instead of 2 |eps_list| Euler runs, and the
     rows equal the Euler differences up to rounding.
     """
-    model = lq_model(spec, scenario)
+    model = lq_model(spec, paths.m)
     x_star = euler_mixed(model, u_star, spec.x0, paths)
     u_mat = u_star.materialize(x_star)
     lin = linearize(model, x_star, u_star)
@@ -486,8 +471,7 @@ class ConvexityReport:
 
 
 def convexity_check(spec: LqSpec, u1: ControlProcess, u2: ControlProcess,
-                    paths: PathSet,
-                    scenario: LqScenario = direct_scenario()) -> ConvexityReport:
+                    paths: PathSet) -> ConvexityReport:
     """Strict-convexity margin J(u1) + J(u2) - 2 J((u1+u2)/2) >= (delta/4) E int |u1-u2|^2.
 
     delta = min R(t) on the grid; everything on common random numbers.  Also
@@ -495,7 +479,7 @@ def convexity_check(spec: LqSpec, u1: ControlProcess, u2: ControlProcess,
     (linearity of the dynamics).
     """
     delta = spec.validate_on(paths.grid)
-    model = lq_model(spec, scenario)
+    model = lq_model(spec, paths.m)
     x1 = euler_mixed(model, u1, spec.x0, paths)
     x2 = euler_mixed(model, u2, spec.x0, paths)
     u1_mat = u1.materialize(x1)

@@ -30,7 +30,6 @@ __all__ = [
     "variation_direct",
     "variation_explicit",
     "lemma1_experiment",
-    "discrete_alpha_norm",
     "alpha_norm_terminal",
     "default_alpha",
 ]
@@ -342,44 +341,25 @@ def default_alpha(H: float) -> float:
     return 1.0 - H + 0.4 * (H - 0.5)
 
 
-def _alpha_norm_node(values: np.ndarray, grid: TimeGrid, alpha: float, k: int) -> np.ndarray:
-    """||f||_{alpha, t_k} for (..., n_nodes) arrays, product rule on the cell at t."""
-    if k == 0:
-        return np.abs(values[..., 0])
-    t = grid.nodes
-    dt = grid.dt
-    out = np.abs(values[..., k]).astype(float)
-    if k >= 2:
-        diffs = np.abs(values[..., k:k + 1] - values[..., :k - 1])
-        w = (t[k] - t[:k - 1]) ** (-alpha - 1.0) * dt
-        out = out + diffs @ w
-    # adjacent cell: |f(t)-f(s)| ~ linear, singular power integrated exactly
-    out = out + np.abs(values[..., k] - values[..., k - 1]) * dt ** (-alpha) / (1.0 - alpha)
-    return out
+def alpha_norm_terminal(values: np.ndarray, grid: TimeGrid, alpha: float) -> np.ndarray:
+    """Discrete ||f||_{alpha,T} of (..., n_nodes) arrays, O(n) per path.
 
-
-def discrete_alpha_norm(values: np.ndarray, grid: TimeGrid, alpha: float) -> np.ndarray:
-    """Discrete ||f||_{alpha,t} at every node t.
-
-    |f(t)| + sum_{s<t} |f(t)-f(s)| (t-s)^{-alpha-1} dt, with the cell adjacent
-    to t integrated in closed form against piecewise-linear f.  Accepts any
-    leading shape; cost is O(n^2) per path.
+    |f(T)| + sum_{s<T} |f(T)-f(s)| (T-s)^{-alpha-1} dt, with the cell adjacent
+    to T integrated in closed form against piecewise-linear f.
     """
     if not 0.0 < alpha < 0.5:
         raise DomainError(f"alpha must lie in (0, 1/2), got {alpha}")
     values = np.asarray(values, dtype=float)
     if values.shape[-1] != grid.n_nodes:
         raise GridMismatchError("values do not match the grid")
-    return np.stack([_alpha_norm_node(values, grid, alpha, k)
-                     for k in range(grid.n_nodes)], axis=-1)
-
-
-def alpha_norm_terminal(values: np.ndarray, grid: TimeGrid, alpha: float) -> np.ndarray:
-    """||f||_{alpha, T} only (O(n) per path)."""
-    if not 0.0 < alpha < 0.5:
-        raise DomainError(f"alpha must lie in (0, 1/2), got {alpha}")
-    return _alpha_norm_node(np.asarray(values, dtype=float), grid, alpha,
-                            grid.n_nodes - 1)
+    t = grid.nodes
+    dt = grid.dt
+    k = grid.n_steps  # the terminal node; n_steps >= 1
+    diffs = np.abs(values[..., k:k + 1] - values[..., :k - 1])
+    w = (t[k] - t[:k - 1]) ** (-alpha - 1.0) * dt
+    # adjacent cell: |f(t)-f(s)| ~ linear, singular power integrated exactly
+    return (np.abs(values[..., k]) + diffs @ w
+            + np.abs(values[..., k] - values[..., k - 1]) * dt ** (-alpha) / (1.0 - alpha))
 
 
 def lemma1_experiment(model: CoefficientModel, u_star: ControlProcess,

@@ -154,8 +154,9 @@ class TransferReport:
     var_rhs: float
 
 
-def transfer_check(f: GridFunction, paths: PathSet, dim: int = 0) -> TransferReport:
-    """Monte Carlo check of int f dB^H = int (Gamma* f) dB on coupled paths.
+def transfer_check(f: GridFunction, paths: PathSet) -> TransferReport:
+    """Monte Carlo check of int f dB^H = int (Gamma* f) dB on coupled paths
+    (driver 0).
 
     The left side is the pathwise (left-point) Riemann sum against B^H, the
     right the Ito sum against B from the same increments; reports their
@@ -166,8 +167,8 @@ def transfer_check(f: GridFunction, paths: PathSet, dim: int = 0) -> TransferRep
     if paths.grid != f.grid:
         raise GridMismatchError("grid of f differs from the path grid")
     gf = gamma_star(f, paths.hurst)
-    dbh = np.diff(paths.BH[:, dim, :], axis=-1)
-    db = paths.dB[:, dim, :]
+    dbh = np.diff(paths.BH[:, 0, :], axis=-1)
+    db = paths.dB[:, 0, :]
     lhs = dbh @ f.values[:-1]
     rhs = db @ gf.values[:-1]
     if np.allclose(lhs, 0) and np.allclose(rhs, 0):

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from fbmcontrol import adjoint
-from fbmcontrol.adjoint import (NodeRegression, RegressionBasis,
-                                adjoint_problem, bsde_residual, estimate_p,
-                                estimate_q_bump, estimate_q_formula,
-                                stationarity_residual)
+from fbmcontrol.adjoint import (NodeRegression, adjoint_problem,
+                                bsde_residual, estimate_p, estimate_q_bump,
+                                estimate_q_formula, stationarity_residual)
 from fbmcontrol.errors import (RegressionError, UnsupportedModelError,
                                UnsupportedRegimeError)
 from fbmcontrol.lq import LqSpec, lq_model
@@ -48,27 +47,30 @@ def lq_problem(coupled_paths_256):
 
 
 class TestNodeRegression:
-    def test_reproduces_quadratics_at_every_node(self, coupled_paths_256):
+    def test_reproduces_quadratics_at_every_node(self, coupled_paths_256,
+                                                 monkeypatch):
         X = coupled_paths_256.B[:, 0, 1:]  # spreads from sqrt(dt) to 1
         k = np.arange(X.shape[1])
         a, b, c = 1.0 + 0.01 * k, -0.5 + 0.02 * k, 0.3 - 0.001 * k
         y = a + b * X + c * X ** 2
         # no ridge: its deliberate shrinkage would bias the fit at ~1e-8
-        reg = NodeRegression.fit(X, RegressionBasis(ridge=0.0))
+        monkeypatch.setattr(adjoint, "REGRESSION_RIDGE", 0.0)
+        reg = NodeRegression.fit(X)
         assert np.allclose(reg.predict(reg.coeffs(y)), y, rtol=0, atol=1e-10)
 
-    def test_constant_state_node_gives_plain_mean(self):
+    def test_constant_state_node_gives_plain_mean(self, monkeypatch):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((500, 3))
         X[:, 1] = 0.7  # every path in the same state
         y = rng.standard_normal((500, 3))
-        reg = NodeRegression.fit(X, RegressionBasis())
+        reg = NodeRegression.fit(X)
         assert reg.scale[1] == 0.0
         assert np.allclose(reg.predict(reg.coeffs(y))[:, 1], y[:, 1].mean(),
                            rtol=0, atol=1e-14)
         # without the ridge that node's normal equations are singular
+        monkeypatch.setattr(adjoint, "REGRESSION_RIDGE", 0.0)
         with pytest.raises(RegressionError):
-            NodeRegression.fit(X, RegressionBasis(ridge=0.0)).coeffs(y)
+            NodeRegression.fit(X).coeffs(y)
 
 
 class TestEstimateP:

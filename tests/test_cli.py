@@ -2,13 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from fbmcontrol.cli import (EXIT_CHECK_FAILURE, EXIT_NO_CONVERGENCE, EXIT_OK,
                             EXIT_USAGE, ConfigError, config_hash, generate_paths,
                             load_config, lq_spec_from_config, main)
-from fbmcontrol.lq import (PicardOptions, independent_bm_scenario,
-                           lq_picard_solve)
+from fbmcontrol.lq import PicardOptions, lq_picard_solve
 from fbmcontrol.verify import kernel_terminal_variance, run_suite
 
 
@@ -281,10 +281,14 @@ class TestSolveCommand:
         cfg = load_config(cfg_path)
         sol = lq_picard_solve(lq_spec_from_config(cfg), generate_paths(cfg),
                               PicardOptions(theta=cfg["theta"], tol=cfg["tol"],
-                                            max_iter=cfg["max_iter"], u0=cfg["u0"]),
-                              independent_bm_scenario())
+                                            max_iter=cfg["max_iter"], u0=cfg["u0"]))
         summary = (out / "solve_summary.txt").read_text()
         assert f"J: {sol.J:.8f} +- {sol.J_stderr:.8f}" in summary.splitlines()
+        # adjoint.csv reports q of W (driver 1), the driver the control acts on
+        rows = (out / "adjoint.csv").read_text().splitlines()[1:]
+        q_mean = np.array([float(r.split(",")[4]) for r in rows])
+        assert np.any(q_mean != 0.0)
+        assert np.array_equal(q_mean, sol.estimate.q_mean()[1])
 
     def test_more_than_two_drivers_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, m=3, n_steps=32)

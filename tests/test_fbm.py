@@ -196,6 +196,25 @@ class TestGenerateBm:
         assert np.all(bm_large.B[..., 0] == 0.0)
         assert np.allclose(bm_large.B[..., -1], bm_large.dB.sum(axis=-1))
 
+    def test_threads_capped_at_cpu_count(self, monkeypatch):
+        # 8 blocks on at most 3 threads; the paths do not depend on either
+        opened = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(fbm, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(fbm, "_kernel_threads", lambda: 3)
+        grid = TimeGrid(1.0, 16)
+        serial = generate_bm(grid, 2, 20, seed=3)
+        for workers, threads in ((8, 3), (2, 2)):
+            opened.clear()
+            bm = generate_bm(grid, 2, 20, seed=3, workers=workers)
+            assert opened == [threads]
+            assert np.array_equal(bm.dB, serial.dB)
+
 
 class TestKernelGenerator:
     def test_zero_start(self, coupled_paths_256):

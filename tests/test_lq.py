@@ -8,12 +8,11 @@ from fbmcontrol.adjoint import (estimate_p, estimate_q_formula,
                                 stationarity_residual)
 from fbmcontrol.errors import DomainError, UnsupportedModelError
 from fbmcontrol.fbm import TimeGrid, fbm_from_kernel, generate_bm
-from fbmcontrol.lq import (ANDERSON_DEPTH, AndersonMixer, LqSpec,
-                           PicardOptions, convexity_check, direct_scenario,
-                           independent_bm_scenario, lq_adjoint_problem,
-                           lq_cost, lq_model, lq_picard_solve,
-                           optimality_sweep, random_adapted_directions,
-                           riccati_oracle)
+from fbmcontrol.lq import (ANDERSON_DEPTH, RICCATI_STEPS, AndersonMixer,
+                           LqSpec, PicardOptions, convexity_check,
+                           lq_adjoint_problem, lq_cost, lq_model,
+                           lq_picard_solve, optimality_sweep,
+                           random_adapted_directions, riccati_oracle)
 from fbmcontrol.sde import ControlProcess, euler_mixed, linearize
 
 N_PATHS = 6000
@@ -133,16 +132,16 @@ class TestRiccatiOracle:
         # independent textbook Riccati right-hand side, same RK4 driver
         spec = LqSpec(A=-0.5, A_tilde=1.0, M=0.0, M_tilde=0.0, N=0.0,
                       Q=2.0, R=1.0, G=0.5)
-        sol = riccati_oracle(spec, paths.grid, n_fine=4096)
+        sol = riccati_oracle(spec, paths.grid)
 
         def textbook_rhs(p):
             return -(2 * (-0.5) * p + 2.0 - 1.0 ** 2 * p ** 2 / 1.0)
 
-        ts = np.linspace(0, 1, 4097)
-        h = -1.0 / 4096
-        P = np.empty(4097)
+        n = RICCATI_STEPS
+        h = -1.0 / n
+        P = np.empty(n + 1)
         P[-1] = 0.5
-        for i in range(4096, 0, -1):
+        for i in range(n, 0, -1):
             p0 = P[i]
             k1 = textbook_rhs(p0)
             k2 = textbook_rhs(p0 + h / 2 * k1)
@@ -228,10 +227,11 @@ class TestPicardSolve:
         assert rep.max_abs_z() > 5.0
 
 
-def damped_fixed_point(spec, paths, scenario, theta=0.5, tol=1e-12,
-                       max_iter=500):
-    """The plain damped Picard iteration, written out: (u, p, q, J)."""
-    model = lq_model(spec, scenario)
+def damped_fixed_point(spec, paths, theta=0.5, tol=1e-12, max_iter=500):
+    """The plain damped Picard iteration, written out: (u, p, q, J).
+
+    The control acts through the Brownian diffusion, on driver m - 1."""
+    model = lq_model(spec, paths.m)
     f = spec.fns()
     t = paths.grid.nodes
     r, at, mt = (np.broadcast_to(np.asarray(f[k](t), dtype=float), t.shape)
@@ -240,7 +240,7 @@ def damped_fixed_point(spec, paths, scenario, theta=0.5, tol=1e-12,
     for _ in range(max_iter):
         prob = lq_adjoint_problem(spec, model, ControlProcess.from_values(u), paths)
         est = estimate_q_formula(prob, estimate_p(prob))
-        du = theta * (-(at * est.p + mt * est.q[scenario.sigma_driver]) / r - u)
+        du = theta * (-(at * est.p + mt * est.q[paths.m - 1]) / r - u)
         u = u + du
         if np.sqrt((du[:, :-1] ** 2).sum(axis=1).mean() * paths.grid.dt) < tol:
             break
@@ -249,7 +249,7 @@ def damped_fixed_point(spec, paths, scenario, theta=0.5, tol=1e-12,
     prob = lq_adjoint_problem(spec, model, ControlProcess.from_values(u), paths)
     est = estimate_q_formula(prob, estimate_p(prob))
     return u, est.p, est.q, lq_cost(spec, ControlProcess.from_values(u), paths,
-                                    scenario, x=prob.x).J
+                                    x=prob.x).J
 
 
 def rel_diff(a, b) -> float:
@@ -312,20 +312,18 @@ def small_paths():
                                            seed=77), 0.75) for m in (1, 2)}
 
 
-@pytest.mark.parametrize("spec,scenario", [
-    (LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3), direct_scenario()),
+@pytest.mark.parametrize("spec,m", [
+    (LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3), 1),
     (LqSpec(A=lambda t: -1.0 + 0.5 * t, A_tilde=lambda t: 1.0 + 0.3 * np.sin(2 * t),
             M=lambda t: 0.2 + 0.1 * np.sin(3 * t + 0.5), M_tilde=0.2,
             N=lambda t: 0.3 - 0.1 * t, Q=lambda t: 1.0 + t,
-            R=lambda t: 1.0 + 0.5 * np.cos(t)), direct_scenario()),
-    (LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3),
-     independent_bm_scenario()),
+            R=lambda t: 1.0 + 0.5 * np.cos(t)), 1),
+    (LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3), 2),
 ], ids=["mixed_M_tilde", "sin_affine", "independent_bm"])
-def test_anderson_reaches_the_damped_fixed_point(small_paths, spec, scenario):
-    paths = small_paths[scenario.m]
-    u, p, q, J = damped_fixed_point(spec, paths, scenario)
-    sol = lq_picard_solve(spec, paths, PicardOptions(tol=1e-12, max_iter=200),
-                          scenario)
+def test_anderson_reaches_the_damped_fixed_point(small_paths, spec, m):
+    paths = small_paths[m]
+    u, p, q, J = damped_fixed_point(spec, paths)
+    sol = lq_picard_solve(spec, paths, PicardOptions(tol=1e-12, max_iter=200))
     assert sol.converged
     for got, want in ((sol.u.values, u), (sol.estimate.p, p),
                       (sol.estimate.q, q), (sol.J, J)):
@@ -354,17 +352,16 @@ class TestOptimalitySweep:
         assert any(abs(r.deriv) > 5 * r.deriv_stderr for r in rows)
 
 
-def brute_force_sweep(spec, u_star, directions, eps_list, paths, scenario):
+def brute_force_sweep(spec, u_star, directions, eps_list, paths):
     """The sweep by cost differences alone: one Euler run per u* +- eps v.
 
     Rows are (dJ, dJ_stderr, deriv, deriv_stderr).
     """
-    x_star = euler_mixed(lq_model(spec, scenario), u_star, spec.x0, paths)
+    x_star = euler_mixed(lq_model(spec, paths.m), u_star, spec.x0, paths)
     u_mat = u_star.materialize(x_star)
 
     def cost(u):
-        return lq_cost(spec, ControlProcess.from_values(u), paths,
-                       scenario).per_path
+        return lq_cost(spec, ControlProcess.from_values(u), paths).per_path
 
     def mean_and_stderr(a):
         return [a.mean(), a.std(ddof=1) / np.sqrt(len(a))]
@@ -380,24 +377,22 @@ def brute_force_sweep(spec, u_star, directions, eps_list, paths, scenario):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("spec,scenario", [
-    (LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3), direct_scenario()),
+@pytest.mark.parametrize("spec,m", [
+    (LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3), 1),
     (LqSpec(A=lambda t: -1.0 + 0.5 * np.sin(3 * t), A_tilde=1.0, M=0.2,
             M_tilde=0.1, N=0.3, Q=lambda t: 1.0 + t,
-            R=lambda t: 1.0 + 0.5 * np.sin(2 * t + 0.3), G=0.7),
-     direct_scenario()),
-    (LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3),
-     independent_bm_scenario()),
+            R=lambda t: 1.0 + 0.5 * np.sin(2 * t + 0.3), G=0.7), 1),
+    (LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3), 2),
 ], ids=["mixed_M_tilde", "sin_affine", "independent_bm"])
-def test_sweep_matches_brute_force_euler(small_paths, spec, scenario):
-    paths = small_paths[scenario.m]
+def test_sweep_matches_brute_force_euler(small_paths, spec, m):
+    paths = small_paths[m]
     # an adapted, non-optimal u*, so that no column is near zero
     u_star = ControlProcess.from_values(0.5 * paths.B[:, 0] - 0.3)
     directions = [*random_adapted_directions(paths, 2, seed=5),
                   ControlProcess.constant(1.0)]
     eps_list = [0.05, 0.1, 0.2]
-    rows = optimality_sweep(spec, u_star, directions, eps_list, paths, scenario)
-    want = brute_force_sweep(spec, u_star, directions, eps_list, paths, scenario)
+    rows = optimality_sweep(spec, u_star, directions, eps_list, paths)
+    want = brute_force_sweep(spec, u_star, directions, eps_list, paths)
     got = np.array([[r.dJ, r.dJ_stderr, r.deriv, r.deriv_stderr] for r in rows])
     assert [(r.direction, r.eps) for r in rows] == [
         (i, eps) for i in range(len(directions)) for eps in eps_list]
@@ -436,13 +431,17 @@ class TestConvexity:
 
 
 class TestIndependentDriverScenario:
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_other_driver_counts_rejected(self, m):
+        with pytest.raises(DomainError, match=f"m = {m}"):
+            lq_model(mixed_spec(), m)
+
     def test_reduction_to_single_driver(self, paths, paths_m2):
         # sigma == 0: the stacked model reproduces the direct one bit for bit
         spec = LqSpec(A=-1.0, A_tilde=1.0, M=0.0, M_tilde=0.0, N=0.3)
         u = ControlProcess.constant(0.2)
-        x_direct = euler_mixed(lq_model(spec, direct_scenario()), u, 1.0, paths)
-        x_stacked = euler_mixed(lq_model(spec, independent_bm_scenario()), u,
-                                1.0, paths_m2)
+        x_direct = euler_mixed(lq_model(spec, 1), u, 1.0, paths)
+        x_stacked = euler_mixed(lq_model(spec, 2), u, 1.0, paths_m2)
         assert np.array_equal(x_direct.X, x_stacked.X)
 
     def test_independent_drivers_uncorrelated(self, paths_m2):
@@ -452,10 +451,19 @@ class TestIndependentDriverScenario:
         r = np.corrcoef(bh, w)[0, 1]
         assert abs(r) < 4.0 / np.sqrt(paths_m2.n_paths)
 
+    def test_stacked_solve_uses_w(self, small_paths):
+        # same B on driver 0; on m = 2 the Brownian diffusion rides W instead
+        options = PicardOptions(tol=1e-5, max_iter=30)
+        one, two = (lq_picard_solve(mixed_spec(), small_paths[m], options)
+                    for m in (1, 2))
+        assert one.problem.m == 1 and two.problem.m == 2
+        assert np.all(two.estimate.q[0] == 0.0)
+        assert np.any(two.estimate.q[1] != 0.0)
+        assert one.J != two.J
+
     def test_stacked_solve_stationarity(self, paths_m2):
         sol = lq_picard_solve(mixed_spec(), paths_m2,
-                              PicardOptions(tol=1e-5, max_iter=30),
-                              scenario=independent_bm_scenario())
+                              PicardOptions(tol=1e-5, max_iter=30))
         assert sol.converged
         rep = stationarity_residual(sol.problem, sol.estimate)
         assert rep.max_abs_z() <= 3.0

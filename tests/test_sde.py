@@ -5,13 +5,13 @@ import pytest
 
 from fbmcontrol.errors import BlowupError, DomainError, GridMismatchError
 from fbmcontrol.fbm import TimeGrid, coarsen, fbm_from_kernel, generate_bm
-from fbmcontrol.lq import LqSpec, independent_bm_scenario, lq_model
+from fbmcontrol.lq import LqSpec, lq_model
 from fbmcontrol.sde import (BLOWUP_LIMIT, INCREMENT_BLOCK, CoefficientModel,
                             ControlProcess, _time_major_increments,
-                            alpha_norm_terminal, default_alpha,
-                            discrete_alpha_norm, euler_mixed, evaluate_along,
-                            fundamental_phi, fundamental_psi, lemma1_experiment,
-                            linearize, variation_direct, variation_explicit)
+                            alpha_norm_terminal, default_alpha, euler_mixed,
+                            evaluate_along, fundamental_phi, fundamental_psi,
+                            lemma1_experiment, linearize, variation_direct,
+                            variation_explicit)
 from fbmcontrol.verify import nonlinear_lemma_model
 
 
@@ -135,7 +135,7 @@ def test_constant_control_matches_full_values_bitwise(name, coupled_paths_256):
         model, paths = nonlinear_lemma_model(), coupled_paths_256
     else:
         spec = LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3)
-        model = lq_model(spec, independent_bm_scenario())
+        model = lq_model(spec, 2)
         paths = fbm_from_kernel(generate_bm(TimeGrid(1.0, 64), 2, 300, seed=9), 0.75)
     shape = (paths.n_paths, paths.grid.n_nodes)
     const_u = ControlProcess.constant(0.4)
@@ -246,7 +246,7 @@ class TestFundamentalPair:
         if name == "lq":
             model, paths = lq_model(spec), coupled_paths_256
         elif name == "lq_two_drivers":
-            model = lq_model(spec, independent_bm_scenario())
+            model = lq_model(spec, 2)
             paths = fbm_from_kernel(generate_bm(TimeGrid(1.0, 128), 2, 500, seed=9), 0.75)
         else:
             model, paths = nonlinear_lemma_model(), coupled_paths_256
@@ -370,7 +370,7 @@ class TestVariation:
         if name == "lq":
             model, paths = lq_model(spec), coupled_paths_256
         elif name == "lq_two_drivers":
-            model = lq_model(spec, independent_bm_scenario())
+            model = lq_model(spec, 2)
             paths = fbm_from_kernel(generate_bm(TimeGrid(1.0, 128), 2, 500, seed=9), 0.75)
         else:
             model, paths = nonlinear_lemma_model(), coupled_paths_256
@@ -403,27 +403,31 @@ class TestAlphaNorm:
     def test_domain(self):
         grid = TimeGrid(1.0, 16)
         with pytest.raises(DomainError):
-            discrete_alpha_norm(np.zeros(17), grid, 0.6)
+            alpha_norm_terminal(np.zeros(17), grid, 0.6)
+        with pytest.raises(GridMismatchError):
+            alpha_norm_terminal(np.zeros(16), grid, 0.3)
 
     def test_constant_path(self):
         grid = TimeGrid(1.0, 64)
-        out = discrete_alpha_norm(np.full(65, -2.5), grid, 0.3)
-        assert np.allclose(out, 2.5)
+        values = np.array([-2.5, 0.0, 1.75])[:, None] * np.ones(65)
+        out = alpha_norm_terminal(values, grid, 0.3)
+        assert np.array_equal(out, [2.5, 0.0, 1.75])
 
     def test_linear_path_analytic(self):
         # f(t) = t: norm(t) = t + t^{1-alpha}/(1-alpha)
-        grid = TimeGrid(1.0, 1024)
         alpha = 0.3
-        out = discrete_alpha_norm(grid.nodes.copy(), grid, alpha)
-        t = grid.nodes[-1]
-        exact = t + t ** (1 - alpha) / (1 - alpha)
-        assert out[-1] == pytest.approx(exact, rel=5e-3)
-        assert alpha_norm_terminal(grid.nodes.copy(), grid, alpha) == \
-            pytest.approx(out[-1])
+        for t in (0.25, 1.0):
+            grid = TimeGrid(t, 1024)
+            out = alpha_norm_terminal(grid.nodes.copy(), grid, alpha)
+            exact = t + t ** (1 - alpha) / (1 - alpha)
+            assert out == pytest.approx(exact, rel=5e-3)
 
     def test_monotone_for_monotone_path(self):
+        # the norm at t_k is the terminal norm of the grid prefix [0, t_k]
         grid = TimeGrid(1.0, 128)
-        out = discrete_alpha_norm(grid.nodes ** 2, grid, 0.25)
+        f = grid.nodes ** 2
+        out = [alpha_norm_terminal(f[:k + 1], TimeGrid(grid.nodes[k], k), 0.25)
+               for k in range(1, grid.n_nodes)]
         assert np.all(np.diff(out) >= -1e-12)
 
     def test_default_alpha_band(self):
