@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn, roots_jacobi
 
 from .errors import DomainError, FactorizationError, GridMismatchError
@@ -174,6 +173,8 @@ def kappa_h(h) -> float:
 
 def kernel_z(t: float, s: float, h) -> float:
     """Volterra kernel Z_H(t, s) on 0 < s < t, inner integral by adaptive quadrature."""
+    from scipy.integrate import quad  # here, so that only the oracle pays the import
+
     H = _hval(h)
     if not 0 < s < t:
         raise DomainError(f"kernel requires 0 < s < t, got s={s}, t={t}")

@@ -375,9 +375,9 @@ def riccati_oracle(spec: LqSpec, grid: TimeGrid) -> RiccatiSolution:
     return RiccatiSolution(ts, P, K, float(0.5 * P[0] * spec.x0 ** 2))
 
 
-def random_adapted_directions(paths: PathSet, n_directions: int, seed: int,
-                              dim: int = 0) -> list[ControlProcess]:
-    """Bounded adapted perturbation directions built from the path prefix."""
+def random_adapted_directions(paths: PathSet, n_directions: int,
+                              seed: int) -> list[ControlProcess]:
+    """Bounded adapted perturbation directions built from driver 0's path prefix."""
     rng = np.random.default_rng(seed)
     directions = []
     for _ in range(n_directions):
@@ -386,7 +386,7 @@ def random_adapted_directions(paths: PathSet, n_directions: int, seed: int,
         phase = rng.uniform(0, 2 * np.pi)
 
         def fn(k, t, b_prefix, a=a, b=b, omega=omega, phase=phase):
-            drive = b_prefix[:, dim, -1]  # B(t_k): adapted
+            drive = b_prefix[:, 0, -1]  # B(t_k): adapted
             return a * np.sin(2 * np.pi * omega * t + phase) + b * np.tanh(drive)
 
         directions.append(ControlProcess.from_prefix(paths, fn))

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import DomainError, GridMismatchError
 from .fbm import PathSet, TimeGrid, _hval, kappa_h
@@ -71,6 +70,30 @@ def _increment_covariance_kernel(n: int, dt: float, H: float) -> np.ndarray:
     return g
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n.
+
+    Real FFTs of these lengths are fast, and they are the lengths
+    scipy.signal.fftconvolve pads to, so the convolutions below match it
+    bit for bit.
+    """
+    while True:
+        k = n
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real sequences by one real-FFT pair."""
+    L = len(a) + len(b) - 1
+    F = _fft_length(L)
+    return np.fft.irfft(np.fft.rfft(a, F) * np.fft.rfft(b, F), F)[:L]
+
+
 def phi_norm_sq(f: GridFunction, h) -> float:
     """||f||_T^2 = int int f(s) f(r) phi(s, r) ds dr.
 
@@ -83,7 +106,7 @@ def phi_norm_sq(f: GridFunction, h) -> float:
     g = _increment_covariance_kernel(n, f.grid.dt, H)
     fm = f.cell_midpoints()
     full = np.concatenate([g[::-1], g[1:]])  # symmetric lag kernel
-    y = fftconvolve(fm, full)[n - 1:2 * n - 1]
+    y = _convolve(fm, full)[n - 1:2 * n - 1]
     return float(fm @ y)
 
 
@@ -139,7 +162,7 @@ def gamma_star(f: GridFunction, h) -> GridFunction:
     S_cells = S[:-1]
     D_cells = np.diff(S)
     # out[k] = sum_l I0[l] S[k+l] + I1[l] D[k+l]  via reversed convolution
-    conv = (fftconvolve(S_cells[::-1], I0) + fftconvolve(D_cells[::-1], I1))[:n][::-1]
+    conv = (_convolve(S_cells[::-1], I0) + _convolve(D_cells[::-1], I1))[:n][::-1]
     out = np.zeros(grid.n_nodes)
     out[1:n] = alpha * kappa_h(H) * nodes[1:n] ** (-alpha) * conv[1:]
     out[0] = gamma_star_at(f, H, 0.5 * dt)

@@ -365,12 +365,22 @@ class TestSmoothFactor:
         assert grid[1, 1] == R(2.0, 0.9)
 
 
+def _run_fresh(probe: str) -> list[str]:
+    """Output lines of ``probe`` run in a fresh interpreter on this package."""
+    src = str(Path(fbm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    return out.splitlines()
+
+
 class TestLazyImport:
     def test_import_builds_nothing(self):
         # a profiler records every Python function called during the import
         probe = (
             "import sys, threading\n"
-            "import numpy, scipy.integrate, scipy.special\n"
+            "import numpy, scipy.special\n"
             "names = {'_smooth_factor', '_cell_rules', '_unit_rows', '_unit_table'}\n"
             "called = set()\n"
             "def hook(frame, event, arg):\n"
@@ -387,13 +397,21 @@ class TestLazyImport:
             "sys.setprofile(None)\n"
             "print(len(fbm._unit_tables), sorted(called))\n"
         )
-        src = str(Path(fbm.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                             capture_output=True, text=True, timeout=120).stdout
-        assert out.splitlines() == [
+        assert _run_fresh(probe) == [
             "0 []", "1 ['_cell_rules', '_smooth_factor', '_unit_rows', '_unit_table']"]
+
+    def test_cli_import_loads_no_heavy_scipy(self):
+        # only numpy and scipy.special at import; kernel_z's quad loads on call
+        probe = (
+            "import sys\n"
+            "import fbmcontrol.cli\n"
+            "heavy = ('scipy.signal', 'scipy.integrate', 'scipy.stats', 'scipy.optimize')\n"
+            "print(sorted(set(heavy) & set(sys.modules)))\n"
+            "from fbmcontrol import fbm\n"
+            "fbm.kernel_z(0.5, 0.25, 0.75)\n"
+            "print('scipy.integrate' in sys.modules)\n"
+        )
+        assert _run_fresh(probe) == ["[]", "True"]
 
 
 class TestCholeskyGenerator:

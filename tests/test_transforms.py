@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
+from fbmcontrol import transforms
 from fbmcontrol.errors import DomainError
-from fbmcontrol.fbm import TimeGrid, coarsen
+from fbmcontrol.fbm import TimeGrid, coarsen, kappa_h
 from fbmcontrol.transforms import (GridFunction, gamma_star, gamma_star_at,
                                    isometry_check, phi_kernel, phi_norm_sq,
                                    transfer_check)
@@ -98,6 +100,46 @@ class TestGammaStar:
     def test_isometry_one_percent(self, H, name, fn):
         rep = isometry_check(gf(1024, fn), H)
         assert rep["rel_err"] <= 1e-2
+
+
+class TestConvolutionAgainstDirectSums:
+    """The FFT convolutions of phi_norm_sq and gamma_star against O(n^2) sums."""
+
+    @staticmethod
+    def f(n):
+        return gf(n, lambda t: np.exp(-t) * (1.0 + np.sin(5 * t)) + 0.3)
+
+    @pytest.mark.parametrize("H", [0.6, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 17, 256, 2048])
+    def test_phi_norm_sq(self, n, H):
+        f = self.f(n)
+        g = transforms._increment_covariance_kernel(n, f.grid.dt, H)
+        fm = f.cell_midpoints()
+        ref = g[0] * (fm @ fm) + 2 * sum(g[l] * (fm[:-l] @ fm[l:])
+                                         for l in range(1, n))
+        assert abs(phi_norm_sq(f, H) - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("H", [0.6, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 17, 256, 2048])
+    def test_gamma_star(self, n, H):
+        f = self.f(n)
+        alpha = H - 0.5
+        nodes = f.grid.nodes
+        S = nodes ** alpha * f.values
+        D = np.diff(S)
+        I0, I1 = transforms._lag_kernels(n, f.grid.dt, alpha)
+        ref = np.zeros(n + 1)
+        for k in range(1, n):
+            ref[k] = alpha * kappa_h(H) * nodes[k] ** (-alpha) \
+                * (I0[:n - k] @ S[k:n] + I1[:n - k] @ D[k:])
+        ref[0] = gamma_star_at(f, H, 0.5 * f.grid.dt)
+        out = gamma_star(f, H).values
+        assert np.all(np.abs(out - ref) <= 1e-13 * np.abs(ref))
+
+    def test_fft_length_matches_fftconvolve_padding(self):
+        # the padding scipy.signal.fftconvolve uses, so the bits match it
+        for n in range(1, 4097):
+            assert transforms._fft_length(n) == next_fast_len(n, real=True)
 
 
 class TestTransferCheck:
