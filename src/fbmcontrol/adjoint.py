@@ -28,7 +28,6 @@ from .sde import ControlProcess, CoefficientModel, Linearization, StatePath, \
 __all__ = [
     "NodeRegression",
     "AdjointProblem",
-    "SharedPair",
     "AdjointEstimate",
     "adjoint_problem",
     "estimate_p",
@@ -135,21 +134,17 @@ class AdjointProblem:
     gx_T: np.ndarray          # g_x(X_T), (n_paths,)
     sigma_vals: np.ndarray    # sigma_j(t, X, u), (m, n_paths, n_nodes)
     gamma_vals: np.ndarray
-    fxx: np.ndarray | None = None
     gxx_T: np.ndarray | None = None
-    s2: np.ndarray | None = None  # q's payoff S2, once estimate_q_formula forms it
+    s2: np.ndarray | None = None  # q's payoff S2, when f_xx and g_xx are given
 
     @property
     def m(self) -> int:
         return self.sigma_vals.shape[0]
 
-    def shared_part(self) -> "SharedPair | None":
-        """The control-free part for later problems on the same paths, or
-        None when a partial that (Phi, Psi) depend on varies across paths."""
-        if not all(_time_only(a) for a in (self.lin.bx, self.lin.sx, self.lin.gx)):
-            return None
-        return SharedPair(self.paths, self.lin, self.phi, self.psi,
-                          self.fxx, self.gxx_T, self.s2)
+    @property
+    def pair(self) -> tuple:
+        """(Phi, Psi, S2): what a later problem on the same paths may take."""
+        return self.phi, self.psi, self.s2
 
     def sigma_x_deterministic(self) -> np.ndarray:
         """Per-node sigma_x values, (m, n_nodes).
@@ -169,77 +164,47 @@ class AdjointProblem:
         return self.lin.sx[:, 0, :]
 
 
-@dataclass(frozen=True)
-class SharedPair:
-    """The part of an adjoint problem that no control changes.
-
-    When b_x, sigma_x and gamma_x depend on time only (held stride-0 over
-    paths), (Phi, Psi) are functions of the paths alone, and so is S2 when
-    f_xx and g_xx(X_T) do not move either: one set serves every control on
-    the same paths.
-    """
-
-    paths: PathSet
-    lin: Linearization
-    phi: StatePath
-    psi: StatePath
-    fxx: np.ndarray | None
-    gxx_T: np.ndarray | None
-    s2: np.ndarray | None
-
-
 def _time_only(a: np.ndarray) -> bool:
     """Whether a (..., n_paths, n_nodes) array is held once per node."""
     return a.strides[-2] == 0
 
 
-def _same_time_only(a: np.ndarray, b: np.ndarray) -> bool:
-    """Both held once per node, with bitwise equal node values."""
-    return (_time_only(a) and _time_only(b) and a.shape == b.shape
-            and np.array_equal(a[..., :1, :], b[..., :1, :]))
-
-
 def adjoint_problem(model: CoefficientModel, u: ControlProcess, x0: float,
                     paths: PathSet, fx_fn, fu_fn, gx_fn, fxx_fn=None,
-                    gxx_fn=None, x: StatePath | None = None,
-                    shared: SharedPair | None = None) -> AdjointProblem:
+                    gxx_fn=None, pair: tuple | None = None) -> AdjointProblem:
     """Integrate the pair and package the adjoint inputs.
 
     ``fx_fn(t, x, u)`` etc. are running-cost partials; ``gx_fn(x)`` the
-    terminal-cost gradient.  ``shared`` is an earlier problem's
-    :meth:`AdjointProblem.shared_part` on the same paths: its (Phi, Psi)
-    are taken only when the new b_x, sigma_x and gamma_x are time-only and
-    bitwise equal to its own, and its S2 only when f_xx is too and g_xx(X_T)
-    is bitwise equal, so the problem is bitwise the one built afresh.
+    terminal-cost gradient.  With ``fxx_fn`` and ``gxx_fn`` the problem
+    carries q's payoff S2 = int f_xx Phi^2 ds + g_xx(X_T) Phi(T)^2.
+    ``pair`` is an earlier problem's :attr:`AdjointProblem.pair` and is taken
+    as given: the caller guarantees the same paths, and b_x, sigma_x,
+    gamma_x, f_xx and g_xx that do not depend on the control, so that
+    (Phi, Psi, S2) are the ones this problem would build.
     """
-    if x is None:
-        x = euler_mixed(model, u, x0, paths)
+    x = euler_mixed(model, u, x0, paths)
     uv = u.materialize(x)
     lin = linearize(model, x, u)
-    reuse = (shared is not None and shared.paths is paths
-             and all(_same_time_only(getattr(lin, k), getattr(shared.lin, k))
-                     for k in ("bx", "sx", "gx")))
-    if reuse:
-        phi, psi = shared.phi, shared.psi
+    at = (paths.grid.nodes, x.X, uv)
+    gxx_T = np.full(x.n_paths, gxx_fn(x.X[:, -1]), dtype=float) \
+        if gxx_fn is not None else None
+    if pair is not None:
+        phi, psi, s2 = pair
     else:
         phi = fundamental_phi(lin, paths)
         psi = fundamental_psi(lin, paths)
-    at = (paths.grid.nodes, x.X, uv)
+        s2 = None
+        if fxx_fn is not None and gxx_T is not None:
+            fxx = evaluate_along([fxx_fn], *at)[0]
+            s2 = _tail_trapezoid(fxx * phi.X ** 2, paths.grid.dt) \
+                + (gxx_T * phi.X[:, -1] ** 2)[:, None]
     fx, fu = evaluate_along([fx_fn, fu_fn], *at)
-    fxx = evaluate_along([fxx_fn], *at)[0] if fxx_fn is not None else None
-    gxx_T = np.full(x.n_paths, gxx_fn(x.X[:, -1]), dtype=float) \
-        if gxx_fn is not None else None
-    s2 = None
-    if reuse and shared.s2 is not None and fxx is not None and gxx_T is not None \
-            and _same_time_only(fxx, shared.fxx) \
-            and np.array_equal(gxx_T, shared.gxx_T):
-        s2 = shared.s2
     return AdjointProblem(
         paths=paths, x=x, lin=lin, phi=phi, psi=psi, fx=fx, fu=fu,
         gx_T=np.asarray(gx_fn(x.X[:, -1]), dtype=float),
         sigma_vals=evaluate_along(model.sigma, *at),
         gamma_vals=evaluate_along(model.gamma, *at),
-        fxx=fxx, gxx_T=gxx_T, s2=s2)
+        gxx_T=gxx_T, s2=s2)
 
 
 def _tail_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
@@ -325,16 +290,11 @@ def estimate_q_formula(prob: AdjointProblem, est: AdjointEstimate) -> AdjointEst
 
     estimated with the same node regressions as p.
     """
-    if prob.fxx is None or prob.gxx_T is None:
+    if prob.s2 is None:
         raise UnsupportedModelError("q formula needs f_xx and g_xx along the pair")
     prob.sigma_x_deterministic()  # raises unless the model is linear in state
-    if prob.s2 is None:
-        prob.s2 = _tail_trapezoid(prob.fxx * prob.phi.X ** 2, prob.paths.grid.dt) \
-            + (prob.gxx_T * prob.phi.X[:, -1] ** 2)[:, None]
-    s2 = prob.s2
-    psi = prob.psi.X
     reg = est.regression
-    q_raw = psi ** 2 * prob.sigma_vals * s2
+    q_raw = prob.psi.X ** 2 * prob.sigma_vals * prob.s2
     q = np.empty_like(q_raw)
     for j in range(prob.m):
         q[j, :, :-1] = reg.predict(reg.coeffs(q_raw[j, :, :-1]))

@@ -3,7 +3,7 @@
 Configs are flat JSON files; coefficient entries are numbers (constants) or
 named catalog functions, e.g. {"kind": "sin", "a": 0.5, "b": 0.2, "omega": 1.0}.
 Exit codes: 0 pass, 1 check failure or numerical failure (blow-up, failed
-regression or factorization), 2 usage error, 3 non-convergence.
+regression or factorization, arithmetic fault), 2 usage, 3 non-convergence.
 """
 
 from __future__ import annotations
@@ -400,7 +400,8 @@ def main(argv=None) -> int:
             return cmd_verify(cfg, args.suite, out, run)
         if args.command == "solve-lq":
             return cmd_solve_lq(cfg, out, args.workers, run)
-    except (BlowupError, RegressionError, FactorizationError) as exc:
+    except (BlowupError, RegressionError, FactorizationError,
+            ArithmeticError) as exc:
         failure = f"FAILED in stage {run.stage}: {type(exc).__name__}: {exc}"
         print(f"{args.command} {failure}", file=sys.stderr)
         if run.summary is not None:

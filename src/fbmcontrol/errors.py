@@ -21,7 +21,8 @@ class BlowupError(RuntimeError):
         self.step = step
         self.value = value
         super().__init__(
-            f"state blow-up at path {path_index}, step {step}: |X| = {value:.3e}"
+            f"state blow-up at path {path_index}, step {step}: "
+            f"|X| = {abs(value):.3e}"
         )
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import (AdjointEstimate, AdjointProblem, SharedPair,
-                      adjoint_problem, estimate_p, estimate_q_formula)
+from .adjoint import (AdjointEstimate, AdjointProblem, adjoint_problem,
+                      estimate_p, estimate_q_formula)
 from .errors import DomainError, UnsupportedModelError
 from .fbm import PathSet, TimeGrid
 from .sde import (CoefficientModel, ControlProcess, StatePath, euler_mixed,
@@ -168,9 +168,10 @@ def lq_cost(spec: LqSpec, u: ControlProcess, paths: PathSet,
 
 def lq_adjoint_problem(spec: LqSpec, model: CoefficientModel,
                        u: ControlProcess, paths: PathSet,
-                       shared: SharedPair | None = None) -> AdjointProblem:
-    """Adjoint inputs for an LQ spec along the pair driven by ``u``; see
-    ``adjoint_problem`` for ``shared``."""
+                       pair: tuple | None = None) -> AdjointProblem:
+    """Adjoint inputs for an LQ spec along the pair driven by ``u``.  The LQ
+    partials do not depend on the control, so ``pair`` may come from any
+    earlier problem on the same paths (see ``adjoint_problem``)."""
     f = spec.fns()
     Q, R, G = f["Q"], f["R"], spec.G
     return adjoint_problem(
@@ -179,7 +180,7 @@ def lq_adjoint_problem(spec: LqSpec, model: CoefficientModel,
         fu_fn=lambda t, x, uu: R(t) * uu,
         gx_fn=lambda x: G * x,
         fxx_fn=lambda t, x, uu: _node_values(Q, t),
-        gxx_fn=lambda x: G * np.ones_like(x), shared=shared)
+        gxx_fn=lambda x: G * np.ones_like(x), pair=pair)
 
 
 # Anderson mixing of the Picard map: history depth, and the condition number
@@ -280,8 +281,8 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
     condition target (see :class:`AndersonMixer`).  The iteration stops
     once the damped step's mean-L2 size is below tol.  Non-convergence is
     returned as a flagged solution, never silently.  The LQ partials depend
-    on time only, so (Phi, Psi) and S2 are built once and every later sweep
-    shares them (``adjoint_problem`` checks that they still apply).
+    on time only, so (Phi, Psi) and S2 are built in the first sweep and
+    every later sweep takes them as its ``pair``.
     """
     options = options or PicardOptions()
     delta = spec.validate_on(paths.grid)
@@ -295,12 +296,12 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
         np.full((paths.n_paths, paths.grid.n_nodes), float(options.u0)))
     log = []
     converged = False
-    shared = None
+    pair = None
     mixer = AndersonMixer(options.theta)
     for it in range(options.max_iter):
-        prob = lq_adjoint_problem(spec, model, u, paths, shared)
+        prob = lq_adjoint_problem(spec, model, u, paths, pair)
         est = estimate_q_formula(prob, estimate_p(prob))
-        shared = shared or prob.shared_part()
+        pair = pair or prob.pair
         resid = -(at_nodes * est.p
                   + mt_nodes * est.q[paths.m - 1]) / r_nodes
         resid -= u.values  # target - u
@@ -318,7 +319,7 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
             break
     # final estimates at the returned control, without the mixing history
     mixer = None
-    prob = lq_adjoint_problem(spec, model, u, paths, shared)
+    prob = lq_adjoint_problem(spec, model, u, paths, pair)
     est = estimate_q_formula(prob, estimate_p(prob))
     cost = _cost_per_path(spec, prob.x, u.values)
     return LqSolution(spec, u, prob, est,

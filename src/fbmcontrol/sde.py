@@ -363,19 +363,17 @@ def alpha_norm_terminal(values: np.ndarray, grid: TimeGrid, alpha: float) -> np.
 
 
 def lemma1_experiment(model: CoefficientModel, u_star: ControlProcess,
-                      v: ControlProcess, epsilons, paths: PathSet, x0: float,
-                      alpha: float | None = None) -> list[dict]:
+                      v: ControlProcess, epsilons, paths: PathSet,
+                      x0: float) -> list[dict]:
     """First-order expansion error (X^eps - X*)/eps - y for a list of eps.
 
     Returns one row per eps with the mean squared terminal gap, the mean
-    squared sup-norm and the mean squared discrete alpha-norm at T, each with
-    its Monte Carlo standard error.  All states share the same noise, so the
-    scheme's own discretization error cancels and the rows isolate the
-    second-order remainder.
+    squared sup-norm and the mean squared discrete alpha-norm at T, alpha =
+    ``default_alpha(H)``, each with its Monte Carlo standard error.  All
+    states share the same noise, so the scheme's own discretization error
+    cancels and the rows isolate the second-order remainder.
     """
-    H = paths.hurst.value
-    if alpha is None:
-        alpha = default_alpha(H)
+    alpha = default_alpha(paths.hurst.value)
     x_star = euler_mixed(model, u_star, x0, paths)
     u_mat = u_star.materialize(x_star)
     v_mat = v.materialize(x_star)

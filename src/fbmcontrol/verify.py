@@ -104,7 +104,10 @@ def cholesky_covariance(paths: PathSet, probes) -> list[CheckResult]:
         c_hat = float(np.mean(x * y))
         c_true = fbm_covariance(nodes[i], nodes[j], paths.hurst)
         se = float(np.std(x * y, ddof=1) / np.sqrt(paths.n_paths))
-        z = abs(c_hat - c_true) / se
+        if se > 0:
+            z = abs(c_hat - c_true) / se
+        else:  # a probe at node 0, where B^H = 0 on every path
+            z = 0.0 if c_hat == c_true else float("inf")
         out.append(_check(f"cholesky_cov_{i}_{j}", z, 4.0, z <= 4.0,
                           stderr=se, detail=f"sample {c_hat:.5f} vs {c_true:.5f}",
                           at=[_bundle_at(paths)]))

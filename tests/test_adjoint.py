@@ -1,7 +1,5 @@
 """Adjoint pair estimation, Malliavin closed form and the residual checks."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from fbmcontrol.errors import (RegressionError, UnsupportedModelError,
 from fbmcontrol.lq import LqSpec, lq_model
 from fbmcontrol.lq import lq_adjoint_problem
 from fbmcontrol.sde import CoefficientModel, ControlProcess
-from fbmcontrol.verify import nonlinear_lemma_model
 
 
 def zero(t, x, u):
@@ -214,6 +211,16 @@ class TestQEstimation:
         with pytest.raises(UnsupportedModelError):
             estimate_q_bump(prob, estimate_p(prob))
 
+    @pytest.mark.parametrize("given", [{}, {"fxx_fn": zero},
+                                       {"gxx_fn": lambda x: np.ones_like(x)}])
+    def test_formula_needs_fxx_and_gxx(self, given, coupled_paths_256):
+        prob = adjoint_problem(trivial_model(), ControlProcess.constant(0.0),
+                               1.0, coupled_paths_256, fx_fn=zero, fu_fn=zero,
+                               gx_fn=lambda x: x, **given)
+        assert prob.s2 is None
+        with pytest.raises(UnsupportedModelError, match="f_xx and g_xx"):
+            estimate_q_formula(prob, estimate_p(prob))
+
     def test_bump_zero_for_constant_p(self, coupled_paths_256):
         prob = adjoint_problem(trivial_model(), ControlProcess.constant(0.0),
                                1.0, coupled_paths_256, fx_fn=zero, fu_fn=zero,
@@ -224,69 +231,30 @@ class TestQEstimation:
         assert np.nanmax(np.abs(qb.q)) < 1e-10
 
 
-class TestSharedPair:
-    """(Phi, Psi) and S2 shared across controls only when they cannot move."""
+class TestPair:
+    """(Phi, Psi, S2) of one control serve another when nothing in them moves."""
 
-    @staticmethod
-    def spec():
-        return LqSpec(A=lambda t: -1.0 + 0.5 * t, A_tilde=1.0,
-                      M=lambda t: 0.2 + 0.1 * np.sin(2 * t), M_tilde=0.3, N=0.3)
-
-    @staticmethod
-    def shared_from_zero_control(spec, model, paths):
-        u0 = ControlProcess.from_values(np.zeros((paths.n_paths, paths.grid.n_nodes)))
-        prob = lq_adjoint_problem(spec, model, u0, paths)
-        estimate_q_formula(prob, estimate_p(prob))
-        return prob.shared_part()
-
-    def test_shared_equals_fresh_at_nonzero_control(self, coupled_paths_256):
+    def test_pair_equals_fresh_at_nonzero_control(self, coupled_paths_256):
         paths = coupled_paths_256
-        spec = self.spec()
+        spec = LqSpec(A=lambda t: -1.0 + 0.5 * t, A_tilde=1.0,
+                      M=lambda t: 0.2 + 0.1 * np.sin(2 * t), M_tilde=0.3, N=0.3)
         model = lq_model(spec)
-        shared = self.shared_from_zero_control(spec, model, paths)
-        assert shared is not None and shared.s2 is not None
+        u0 = ControlProcess.from_values(np.zeros((paths.n_paths, paths.grid.n_nodes)))
+        pair = lq_adjoint_problem(spec, model, u0, paths).pair
         rng = np.random.default_rng(3)
         u = ControlProcess.from_values(
             0.4 * np.tanh(paths.B[:, 0, :]) + 0.1 * rng.standard_normal(
                 (paths.n_paths, paths.grid.n_nodes)))
-        reused = lq_adjoint_problem(spec, model, u, paths, shared)
+        reused = lq_adjoint_problem(spec, model, u, paths, pair)
         fresh = lq_adjoint_problem(spec, model, u, paths)
-        assert reused.phi is shared.phi and reused.psi is shared.psi
-        assert reused.s2 is shared.s2
+        # taken as given, not rebuilt
+        assert all(a is b for a, b in zip(reused.pair, pair))
         assert np.array_equal(reused.phi.X, fresh.phi.X)
         assert np.array_equal(reused.psi.X, fresh.psi.X)
+        assert np.array_equal(reused.s2, fresh.s2)
         est_r = estimate_q_formula(reused, estimate_p(reused))
         est_f = estimate_q_formula(fresh, estimate_p(fresh))
-        assert np.array_equal(reused.s2, fresh.s2)
         assert np.array_equal(est_r.p, est_f.p) and np.array_equal(est_r.q, est_f.q)
-
-    def test_per_path_partials_never_shared(self, coupled_paths_256):
-        paths = coupled_paths_256
-        u = ControlProcess.constant(0.0)
-        fx = dict(fx_fn=lambda t, x, uu: x, fu_fn=lambda t, x, uu: uu,
-                  gx_fn=lambda x: x, fxx_fn=lambda t, x, uu: np.ones(np.shape(t)),
-                  gxx_fn=lambda x: np.ones_like(x))
-        prob = adjoint_problem(nonlinear_lemma_model(), u, 0.5, paths, **fx)
-        assert prob.shared_part() is None
-        # per-path partials bitwise equal to an LQ model's time-only ones
-        spec = LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.0, N=0.3)
-        shared = self.shared_from_zero_control(spec, lq_model(spec), paths)
-        per_path = replace(lq_model(spec),
-                           b_x=lambda t, x, uu: np.full_like(x, -1.0),
-                           sigma_x=[lambda t, x, uu: np.full_like(x, 0.2)],
-                           gamma_x=[lambda t, x, uu: np.full_like(x, 0.3)])
-        prob = adjoint_problem(per_path, u, spec.x0, paths, shared=shared, **fx)
-        assert prob.phi is not shared.phi and prob.psi is not shared.psi
-        assert prob.s2 is None and prob.shared_part() is None
-
-    def test_other_paths_never_shared(self, coupled_paths_256):
-        spec = LqSpec(N=0.3)
-        model = lq_model(spec)
-        shared = self.shared_from_zero_control(spec, model, coupled_paths_256)
-        other = replace(coupled_paths_256)  # same arrays, another bundle
-        prob = lq_adjoint_problem(spec, model, ControlProcess.constant(0.0),
-                                  other, shared)
-        assert prob.phi is not shared.phi and prob.s2 is None
 
 
 class TestResiduals:

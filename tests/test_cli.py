@@ -192,6 +192,42 @@ class TestVerifyCommand:
         assert text.splitlines()[5] == "name,value,stderr"
         assert "PASS" in captured.out
 
+    @pytest.mark.parametrize("n_steps", [1, 2, 3])
+    def test_covariance_on_one_to_three_steps(self, tmp_path, capsys, n_steps):
+        # n_steps // 4 == 0 puts a probe at node 0, where B^H = 0 on every path
+        cfg = write_config(tmp_path, n_steps=n_steps, n_paths=50)
+        out = tmp_path / "o"
+        rc = main(["verify", "covariance", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc in (EXIT_OK, EXIT_CHECK_FAILURE)
+        assert "Traceback" not in err
+        summary = (out / "verify_covariance_summary.txt").read_text()
+        assert f"PASS cholesky_cov_0_{n_steps}: value=0 " in summary
+
+
+class TestArithmeticFaults:
+    """An arithmetic fault ends like a numerical failure: exit 1, one
+    FAILED line naming the stage, no traceback."""
+
+    @pytest.mark.parametrize("command,T,fault,summary", [
+        (["verify", "lemma1"], 1e-300, "ZeroDivisionError",
+         "verify_lemma1_summary.txt"),
+        (["paths"], 1e300, "OverflowError", None),
+    ])
+    def test_reported_with_stage(self, tmp_path, capsys, command, T, fault,
+                                 summary):
+        cfg = write_config(tmp_path, T=T, n_paths=50, n_steps=16)
+        out = tmp_path / "o"
+        rc = main([*command, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CHECK_FAILURE
+        stage = " ".join(command)
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"{command[0]} FAILED in stage {stage}: {fault}")
+        if summary is not None:
+            last = (out / summary).read_text().splitlines()[-1]
+            assert last.startswith(f"FAILED in stage {stage}: {fault}")
+
 
 class TestSolveCommand:
     def test_invariant_violation_exits_nonzero(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fbmcontrol import adjoint
 from fbmcontrol.adjoint import (estimate_p, estimate_q_formula,
                                 stationarity_residual)
 from fbmcontrol.errors import DomainError, UnsupportedModelError
@@ -214,6 +215,19 @@ class TestPicardSolve:
         assert solved_mixed.converged
         rep = stationarity_residual(solved_mixed.problem, solved_mixed.estimate)
         assert rep.max_abs_z() <= 3.0
+
+    def test_fundamental_pair_built_once_per_solve(self, small_paths,
+                                                   monkeypatch):
+        calls = {"fundamental_phi": 0, "fundamental_psi": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(adjoint, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(adjoint, name, counted)
+        spec = LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3)
+        sol = lq_picard_solve(spec, small_paths[1], PicardOptions(tol=1e-6))
+        assert sol.converged and len(sol.iterations) > 2
+        assert calls == {"fundamental_phi": 1, "fundamental_psi": 1}
 
     def test_perturbed_control_detected(self, paths, solved_mixed):
         # 20% perturbation: residual exceeds 5 stderr somewhere

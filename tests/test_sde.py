@@ -203,6 +203,15 @@ class TestEulerMixed:
                         coupled_paths_256)
         assert exc.value.step > 0
 
+    def test_blowup_message_reports_magnitude(self, coupled_paths_256):
+        model = make_model(b=lambda t, x, u: x ** 3 - 10)
+        with pytest.raises(BlowupError) as exc:
+            euler_mixed(model, ControlProcess.constant(0.0), -5.0,
+                        coupled_paths_256)
+        value = exc.value.value
+        assert np.isfinite(value) and value < 0  # signed, as integrated
+        assert str(exc.value).endswith(f"|X| = {-value:.3e}")
+
 
 class TestEvaluateAlong:
     def test_matches_node_loop_on_nonlinear_model(self, coupled_paths_256):
