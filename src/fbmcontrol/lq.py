@@ -110,31 +110,21 @@ def lq_model(spec: LqSpec, m: int = 1) -> CoefficientModel:
     # partials depend on time only: one value per node, never per path
     zero = lambda t, x, u: np.zeros(np.shape(t))
 
-    def sigma_fn(t, x, u):
-        return M(t) * x + Mt(t) * u
-
-    def gamma_fn(t, x, u):
-        return N(t) * x
-
-    sig = [zero] * m
-    gam = [zero] * m
-    sig_x = [zero] * m
-    sig_u = [zero] * m
-    gam_x = [zero] * m
-    gam_u = [zero] * m
-    sig[m - 1] = sigma_fn
-    sig_x[m - 1] = lambda t, x, u: _node_values(M, t)
-    sig_u[m - 1] = lambda t, x, u: _node_values(Mt, t)
-    gam[0] = gamma_fn
-    gam_x[0] = lambda t, x, u: _node_values(N, t)
+    def on(driver, fn):
+        """One entry per driver: fn on ``driver``, zero on the others."""
+        return [fn if j == driver else zero for j in range(m)]
 
     return CoefficientModel(
         m=m,
         b=lambda t, x, u: A(t) * x + At(t) * u,
-        sigma=sig, gamma=gam,
+        sigma=on(m - 1, lambda t, x, u: M(t) * x + Mt(t) * u),
+        gamma=on(0, lambda t, x, u: N(t) * x),
         b_x=lambda t, x, u: _node_values(A, t),
         b_u=lambda t, x, u: _node_values(At, t),
-        sigma_x=sig_x, sigma_u=sig_u, gamma_x=gam_x, gamma_u=gam_u)
+        sigma_x=on(m - 1, lambda t, x, u: _node_values(M, t)),
+        sigma_u=on(m - 1, lambda t, x, u: _node_values(Mt, t)),
+        gamma_x=on(0, lambda t, x, u: _node_values(N, t)),
+        gamma_u=[zero] * m)
 
 
 @dataclass(frozen=True)
@@ -144,23 +134,22 @@ class CostEstimate:
     per_path: np.ndarray
 
 
-def _cost_per_path(spec: LqSpec, x: StatePath, u_values: np.ndarray) -> np.ndarray:
+def lq_cost(spec: LqSpec, u: ControlProcess, paths: PathSet,
+            x: StatePath | None = None) -> CostEstimate:
+    """Monte Carlo cost J(u) = (1/2) E[ int (Q X^2 + R u^2) dt + G X(T)^2 ],
+    per path and as a mean with its standard error; ``x`` is the state
+    under ``u`` when it is already simulated."""
+    spec.validate_on(paths.grid)
+    if x is None:
+        x = euler_mixed(lq_model(spec, paths.m), u, spec.x0, paths)
     f = spec.fns()
     t = x.grid.nodes[:-1]
     qv = _node_values(f["Q"], t)
     rv = _node_values(f["R"], t)
+    u_values = u.materialize(x)
     run = ((qv * x.X[:, :-1] ** 2 + rv * u_values[:, :-1] ** 2)
            * x.grid.dt).sum(axis=1)
-    return 0.5 * (run + spec.G * x.X[:, -1] ** 2)
-
-
-def lq_cost(spec: LqSpec, u: ControlProcess, paths: PathSet,
-            x: StatePath | None = None) -> CostEstimate:
-    """Monte Carlo cost J(u) = (1/2) E[ int (Q X^2 + R u^2) dt + G X(T)^2 ]."""
-    spec.validate_on(paths.grid)
-    if x is None:
-        x = euler_mixed(lq_model(spec, paths.m), u, spec.x0, paths)
-    per_path = _cost_per_path(spec, x, u.materialize(x))
+    per_path = 0.5 * (run + spec.G * x.X[:, -1] ** 2)
     return CostEstimate(float(per_path.mean()),
                         float(per_path.std(ddof=1) / np.sqrt(len(per_path))),
                         per_path)
@@ -198,9 +187,9 @@ class AndersonMixer:
     |f_k - sum_i gamma_i dF_i| in the control norm (acting nodes only).  The
     Gram system is formed by plain elementwise reductions, which run on one
     thread; a singular or ill-conditioned one gives the plain damped step
-    x_k.  The history is 2 * ANDERSON_DEPTH arrays: after a step the oldest
-    difference pair is dropped and its buffers keep x_k and f_k until the
-    next iterate turns them into differences.
+    x_k.  The history is 2 * ANDERSON_DEPTH arrays: at most
+    ANDERSON_DEPTH - 1 difference pairs and the last (x_k, f_k), which the
+    next step turns into a difference pair in place.
     """
 
     def __init__(self, theta: float):
@@ -233,13 +222,9 @@ class AndersonMixer:
         if gamma is not None:
             for g, d in zip(gamma, self.dx):
                 nxt -= g * d
-        if len(self.df) == ANDERSON_DEPTH:  # recycle the oldest pair's buffers
-            bx, bf = self.dx.pop(0), self.df.pop(0)
-            np.copyto(bx, x)
-            np.copyto(bf, f)
-            self.last = (bx, bf)
-        else:
-            self.last = (x, f)
+        if len(self.df) == ANDERSON_DEPTH:
+            del self.dx[0], self.df[0]
+        self.last = (x, f)
         return nxt
 
 
@@ -253,7 +238,6 @@ class PicardOptions:
 
 @dataclass
 class LqSolution:
-    spec: LqSpec
     u: ControlProcess
     problem: AdjointProblem
     estimate: AdjointEstimate
@@ -279,14 +263,14 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
     (p, q) from the explicit representations, and moves the control to the
     Anderson mixing of the damped steps theta toward the first-order-
     condition target (see :class:`AndersonMixer`).  The iteration stops
-    once the damped step's mean-L2 size is below tol.  Non-convergence is
-    returned as a flagged solution, never silently.  The LQ partials depend
+    once the damped step's mean-L2 size is below tol, or after max_iter
+    steps; one more sweep then gives (p, q) and J at the returned control.
+    Non-convergence is returned as a flagged solution, never silently.  The LQ partials depend
     on time only, so (Phi, Psi) and S2 are built in the first sweep and
     every later sweep takes them as its ``pair``.
     """
     options = options or PicardOptions()
-    delta = spec.validate_on(paths.grid)
-    assert delta > 0
+    spec.validate_on(paths.grid)
     model = lq_model(spec, paths.m)
     f = spec.fns()
     r_nodes, at_nodes, mt_nodes = (_node_values(f[name], paths.grid.nodes)
@@ -298,34 +282,24 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
     converged = False
     pair = None
     mixer = AndersonMixer(options.theta)
-    for it in range(options.max_iter):
+    for it in range(options.max_iter + 1):
         prob = lq_adjoint_problem(spec, model, u, paths, pair)
         est = estimate_q_formula(prob, estimate_p(prob))
         pair = pair or prob.pair
+        cost = lq_cost(spec, u, paths, prob.x)
+        if converged or it == options.max_iter:
+            break  # the estimates are at the returned control
         resid = -(at_nodes * est.p
                   + mt_nodes * est.q[paths.m - 1]) / r_nodes
         resid -= u.values  # target - u
-        change = options.theta * _mean_l2(resid, paths.grid.dt)
-        cost = _cost_per_path(spec, prob.x, u.values)
         # the sweep's arrays go before the next sweep's are built
         prob = est = None
+        change = options.theta * _mean_l2(resid, paths.grid.dt)
         log.append({"iter": it, "change": change,
-                    "J": float(cost.mean()),
-                    "J_stderr": float(cost.std(ddof=1) / np.sqrt(len(cost)))})
+                    "J": cost.J, "J_stderr": cost.stderr})
         u = ControlProcess.from_values(mixer.step(u.values, resid))
-        resid = None
-        if change < options.tol:
-            converged = True
-            break
-    # final estimates at the returned control, without the mixing history
-    mixer = None
-    prob = lq_adjoint_problem(spec, model, u, paths, pair)
-    est = estimate_q_formula(prob, estimate_p(prob))
-    cost = _cost_per_path(spec, prob.x, u.values)
-    return LqSolution(spec, u, prob, est,
-                      float(cost.mean()),
-                      float(cost.std(ddof=1) / np.sqrt(len(cost))),
-                      log, converged)
+        converged = change < options.tol
+    return LqSolution(u, prob, est, cost.J, cost.stderr, log, converged)
 
 
 @dataclass(frozen=True)
@@ -487,13 +461,10 @@ def convexity_check(spec: LqSpec, u1: ControlProcess, u2: ControlProcess,
     u2_mat = u2.materialize(x2)
     u_mid = ControlProcess.from_values(0.5 * (u1_mat + u2_mat))
     x_mid = euler_mixed(model, u_mid, spec.x0, paths)
-    c1 = _cost_per_path(spec, x1, u1_mat)
-    c2 = _cost_per_path(spec, x2, u2_mat)
-    cm = _cost_per_path(spec, x_mid, u_mid.values)
+    c1, c2, cm = (lq_cost(spec, u, paths, x)
+                  for u, x in ((u1, x1), (u2, x2), (u_mid, x_mid)))
     du_sq = ((u1_mat[:, :-1] - u2_mat[:, :-1]) ** 2).sum(axis=1) * paths.grid.dt
-    stat = c1 + c2 - 2 * cm - 0.25 * delta * du_sq
+    stat = c1.per_path + c2.per_path - 2 * cm.per_path - 0.25 * delta * du_sq
     gap = float(np.abs(x_mid.X - 0.5 * (x1.X + x2.X)).max())
-    n = len(stat)
-    return ConvexityReport(float(c1.mean()), float(c2.mean()), float(cm.mean()),
-                           float(stat.mean()),
-                           float(stat.std(ddof=1) / np.sqrt(n)), gap)
+    return ConvexityReport(c1.J, c2.J, cm.J, float(stat.mean()),
+                           float(stat.std(ddof=1) / np.sqrt(len(stat))), gap)

@@ -191,25 +191,15 @@ def transfer_refinement(fine: PathSet) -> list[CheckResult]:
 # fundamental pair and the explicit variation formula
 
 
-def _gamma_only_model(c=0.3):
-    zero = lambda t, x, u: np.zeros_like(np.asarray(x, dtype=float))
-    # partials depend on time only: one value per node, never per path
-    node_zero = lambda t, x, u: np.zeros(np.shape(t))
-    return CoefficientModel(
-        m=1, b=zero, sigma=[zero], gamma=[lambda t, x, u: c * x],
-        b_x=node_zero, b_u=node_zero, sigma_x=[node_zero], sigma_u=[node_zero],
-        gamma_x=[lambda t, x, u: np.full(np.shape(t), c)],
-        gamma_u=[node_zero])
-
-
 def phi_psi_refinement(fine: PathSet) -> list[CheckResult]:
     """max |Phi Psi - 1| falls >= 1.8x per halving over three halvings.
 
-    Fractional-dominant fixture (gamma_x = 0.3, no Brownian terms): with
-    Brownian diffusion the Euler product defect is O(sqrt(dt)) and no
-    first-order scheme reaches the 1.8 rate.
+    Fractional-dominant fixture, the LQ model with N = 0.3 and no other
+    term (gamma_x = 0.3, no Brownian terms): with Brownian diffusion the
+    Euler product defect is O(sqrt(dt)) and no first-order scheme reaches
+    the 1.8 rate.
     """
-    model = _gamma_only_model(0.3)
+    model = lq_model(LqSpec(A=0.0, A_tilde=0.0, M=0.0, N=0.3))
     u0 = ControlProcess.constant(0.0)
     errs = []
     factors = (8, 4, 2, 1)
