@@ -7,8 +7,8 @@ from .errors import (BlowupError, DomainError, FactorizationError,
 from .fbm import (Hurst, PathSet, TimeGrid, coarsen, fbm_covariance,
                   fbm_from_cholesky, fbm_from_kernel, generate_bm, kappa_h,
                   kernel_weights, kernel_z, kernel_z_closed)
-from .transforms import (GridFunction, gamma_star, isometry_check, phi_kernel,
-                         phi_norm_sq, transfer_check)
+from .transforms import (GridFunction, gamma_star, isometry_check, phi_norm_sq,
+                         transfer_check)
 from .sde import (CoefficientModel, ControlProcess, StatePath, euler_mixed,
                   fundamental_phi, fundamental_psi, lemma1_experiment,
                   linearize, variation_direct, variation_explicit)

@@ -26,7 +26,8 @@ from .lq import (LqSpec, PicardOptions, convexity_check, lq_picard_solve,
                  optimality_sweep, riccati_oracle, random_adapted_directions)
 from .sde import ControlProcess
 from .verify import (IGNORED_CONFIG, CheckResult, kernel_terminal_variance,
-                     ran_at, run_suite, suite_names)
+                     ran_at, riccati_agreement, run_suite, stationarity,
+                     suite_names)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -225,8 +226,16 @@ class Progress:
     lines: list = field(default_factory=list)
 
 
+def _check_lines(checks) -> list[str]:
+    """One PASS/FAIL line per check, as the summaries list them."""
+    return [f"{'PASS' if c.passed else 'FAIL'} {c.name}: value={c.value:.6g} "
+            f"tol={c.tolerance:.6g} {c.detail}" for c in checks]
+
+
 def cmd_paths(cfg: dict, out: Path, workers: int, run: Progress) -> int:
     run.stage = "paths"
+    run.summary = out / "paths_summary.txt"
+    run.header = _report_header(cfg)
     paths = generate_paths(cfg, workers)
     paths.to_csv(out / "paths.csv")
     # covariance validation on the generated bundle
@@ -235,8 +244,9 @@ def cmd_paths(cfg: dict, out: Path, workers: int, run: Progress) -> int:
     checks = kernel_terminal_variance(paths, "bh_terminal_variance_z")
     checks.append(CheckResult("bm_increment_variance_z", z_inc, 0.0, 4.0,
                               z_inc <= 4.0))
-    _write_summary(out / "covariance_report.csv", _report_header(cfg),
+    _write_summary(out / "covariance_report.csv", run.header,
                    ["name,value,stderr", *(c.row() for c in checks)])
+    _write_summary(run.summary, run.header, _check_lines(checks))
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILURE
 
 
@@ -250,8 +260,7 @@ def cmd_verify(cfg: dict, suite: str, out: Path, run: Progress) -> int:
     run.header = _report_header(cfg, suite, checks)
     _write_summary(out / f"verify_{suite}.csv", run.header,
                    ["name,value,stderr", *(c.row() for c in checks)])
-    lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}: value={c.value:.6g} "
-             f"tol={c.tolerance:.6g} {c.detail}" for c in checks]
+    lines = _check_lines(checks)
     _write_summary(run.summary, run.header, lines)
     for line in lines:
         print(line)
@@ -307,9 +316,10 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
     run.stage = "residuals"
     res = stationarity_residual(sol.problem, sol.estimate)
     res.to_csv(out / "stationarity_residual.csv")
-    z = res.max_abs_z()
-    lines.append(f"stationarity_residual max |z|: {z:.3f} (tolerance 3)")
-    if z > 3:
+    check = stationarity(res)
+    lines.append(f"stationarity_residual max |z|: {check.value:.3f} "
+                 f"(tolerance {check.tolerance:g})")
+    if not check.passed:
         exit_code = EXIT_CHECK_FAILURE
 
     bs = bsde_residual(sol.problem, sol.estimate)
@@ -319,11 +329,10 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
     if spec.is_brownian_only(grid):
         run.stage = "riccati"
         ric = riccati_oracle(spec, grid)
-        gap = abs(sol.J - ric.J)
-        budget = 3 * sol.J_stderr + 0.02 * sol.J
-        lines.append(f"riccati_oracle J: {ric.J:.8f}  |gap|: {gap:.3e} "
-                     f"(budget {budget:.3e})")
-        if gap > budget:
+        check = riccati_agreement(sol.J, sol.J_stderr, ric.J)
+        lines.append(f"riccati_oracle J: {ric.J:.8f}  |gap|: {check.value:.3e} "
+                     f"(budget {check.tolerance:.3e})")
+        if not check.passed:
             exit_code = EXIT_CHECK_FAILURE
 
     run.stage = "optimality_sweep"

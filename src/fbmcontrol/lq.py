@@ -210,8 +210,9 @@ class AndersonMixer:
         return np.linalg.solve(gram, rhs)
 
     def step(self, u: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """The next iterate from u_k and f_k = target - u_k.  The mixer may
-        keep f as history, so the caller must not change it afterwards."""
+        """The next iterate from u_k and f_k = target - u_k.  The mixer keeps
+        f as history and overwrites it at the next step, so the caller must
+        not use it afterwards."""
         x = u + self.theta * f
         if self.last is not None:
             lx, lf = self.last

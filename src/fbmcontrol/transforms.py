@@ -1,10 +1,11 @@
 """Deterministic operators and kernels attached to the fractional calculus.
 
-Implements the singular kernel phi, the weighted norm ||.||_T it induces, the
-transfer operator that rewrites deterministic integrals against B^H as Ito
-integrals against B.  All singular powers are integrated in closed form per
-cell against piecewise-linear data (product integration); naive rules lose
-accuracy or diverge near the singularities.
+Implements the weighted norm ||.||_T induced by the singular kernel
+phi(s, t) = H(2H-1)|s-t|^{2H-2} and the transfer operator that rewrites
+deterministic integrals against B^H as Ito integrals against B.  All
+singular powers are integrated in closed form per cell against
+piecewise-linear data (product integration); naive rules lose accuracy or
+diverge near the singularities.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .fbm import PathSet, TimeGrid, _hval, kappa_h
 
 __all__ = [
     "GridFunction",
-    "phi_kernel",
     "phi_norm_sq",
     "gamma_star",
     "gamma_star_at",
@@ -48,17 +48,6 @@ class GridFunction:
 
     def cell_midpoints(self) -> np.ndarray:
         return 0.5 * (self.values[:-1] + self.values[1:])
-
-
-def phi_kernel(s, t, h) -> np.ndarray | float:
-    """H(2H-1)|s-t|^{2H-2}; singular on the diagonal s = t."""
-    H = _hval(h)
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(s == t):
-        raise DomainError("phi kernel is singular at s = t; integrate around it")
-    out = H * (2 * H - 1) * np.abs(s - t) ** (2 * H - 2)
-    return float(out) if out.ndim == 0 else out
 
 
 def _increment_covariance_kernel(n: int, dt: float, H: float) -> np.ndarray:
@@ -95,7 +84,8 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def phi_norm_sq(f: GridFunction, h) -> float:
-    """||f||_T^2 = int int f(s) f(r) phi(s, r) ds dr.
+    """||f||_T^2 = int int f(s) f(r) phi(s, r) ds dr, with the singular kernel
+    phi(s, r) = H(2H-1)|s-r|^{2H-2}.
 
     The double integral of phi over any cell pair has a closed form (it is
     the increment covariance of B^H), so the norm reduces to a Toeplitz

@@ -1,8 +1,8 @@
 """Checks of the paper's identities, shared by the CLI and the acceptance tests.
 
 Each check takes its inputs already built (a path bundle, an LqSpec, Hurst
-values, probe pairs) and returns a list of :class:`CheckResult`; its
-tolerances are pinned beside it, and each result names the bundle or grid
+values, probe pairs) and returns a list of :class:`CheckResult` (the two
+gates of the LQ solve return one); its tolerances are pinned beside it, and each result names the bundle or grid
 it ran on.  A suite builds the CLI's bundles from the config and calls the
 checks; the acceptance criteria build their own bundles at their own
 scales and call the same checks.  A suite passes iff every check does.
@@ -30,7 +30,8 @@ __all__ = ["CheckResult", "SUITES", "IGNORED_CONFIG", "run_suite",
            "kernel_terminal_variance", "cross_generator_variance", "isometry",
            "transfer_refinement", "phi_psi_refinement",
            "variation_gap_refinement", "lemma1", "q_formula_vs_bump",
-           "bsde_residual_checks", "nonlinear_lemma_model"]
+           "bsde_residual_checks", "riccati_agreement", "stationarity",
+           "nonlinear_lemma_model"]
 
 _HURSTS = (0.6, 0.75, 0.9)
 
@@ -268,16 +269,28 @@ def lemma1_table_csv(rows, path) -> None:
 def lemma1(paths: PathSet, table_out=None) -> list[CheckResult]:
     """Lemma 1 on the nonlinear fixture (u* = 0.1, v = 1, x0 = 0.5): every
     norm of the expansion error decreases as eps halves from 0.2 to 0.025,
-    the terminal one by a ratio in [2.5, 6] (O(eps^2) gives 4).  The
-    experiment table is written to ``table_out`` when given."""
-    rows = lemma1_experiment(nonlinear_lemma_model(), ControlProcess.constant(0.1),
-                             ControlProcess.constant(1.0),
-                             [0.2, 0.1, 0.05, 0.025], paths, x0=0.5)
+    the terminal one by a ratio in [2.5, 6] (O(eps^2) gives 4).  A level
+    that is 0 or not finite (a degenerate horizon: at T = 1e-300 every
+    error underflows to 0 and the alpha-norm weights overflow) fails its
+    check.  The experiment table is written to ``table_out`` when given."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # floating-point faults show as such levels, reported below
+        rows = lemma1_experiment(nonlinear_lemma_model(),
+                                 ControlProcess.constant(0.1),
+                                 ControlProcess.constant(1.0),
+                                 [0.2, 0.1, 0.05, 0.025], paths, x0=0.5)
     if table_out is not None:
         lemma1_table_csv(rows, table_out)
     out = []
     for metric in ("terminal_sq", "sup_sq", "alpha_norm_sq"):
         vals = [r[metric] for r in rows]
+        if not all(np.isfinite(v) and v > 0 for v in vals):
+            fault = "0" if all(np.isfinite(vals)) else "not finite"
+            out.append(_check(f"lemma1_{metric}", float("nan"), 2.5, False,
+                              detail=f"values {['%.3e' % v for v in vals]}: "
+                                     f"a level is {fault}",
+                              levels=vals, at=[_bundle_at(paths)]))
+            continue
         mono = all(vals[i] > vals[i + 1] for i in range(len(vals) - 1))
         ratios = [vals[i] / vals[i + 1] for i in range(len(vals) - 1)]
         ok = mono and (metric != "terminal_sq"
@@ -333,6 +346,25 @@ def bsde_residual_checks(paths: PathSet, spec: LqSpec) -> list[CheckResult]:
                    msqs[1] < msqs[0],
                    detail=f"mean_sq {msqs[0]:.3e} -> {msqs[1]:.3e}", levels=msqs,
                    at=at)]
+
+
+# ---------------------------------------------------------------------------
+# the LQ solve: Riccati oracle agreement and the stationarity residual
+
+
+def riccati_agreement(J: float, J_stderr: float, J_riccati: float) -> CheckResult:
+    """Monte Carlo J within 3 stderr plus 2% of J (the O(dt) Euler bias) of
+    the Riccati oracle's cost."""
+    gap = abs(J - J_riccati)
+    budget = 3 * J_stderr + 0.02 * J
+    return _check("riccati_agreement", gap, budget, gap <= budget,
+                  stderr=J_stderr, detail=f"J {J:.8f} vs Riccati {J_riccati:.8f}")
+
+
+def stationarity(report) -> CheckResult:
+    """The stationarity residual's per-node mean within 3 stderr everywhere."""
+    z = report.max_abs_z()
+    return _check("stationarity_residual", z, 3.0, z <= 3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Every test prints a single PASS/FAIL line (visible in any pytest run).
 Criteria 01-08 build their own path bundles at their own scales and seeds
 and call the check functions of ``fbmcontrol.verify``, where the check
 formulas and their tolerances live; the CLI suites call the same functions.
-Criteria 09-12 pin their tolerances inline.  Seeds are fixed so reruns are
-deterministic.  Heavy path bundles are shared through module fixtures.
+Criteria 09 and 10 call the solve-lq gates of ``fbmcontrol.verify``;
+criteria 11 and 12 pin their tolerances inline.  Seeds are fixed so reruns
+are deterministic.  Heavy path bundles are shared through module fixtures.
 """
 
 import json
@@ -164,14 +165,13 @@ def test_criterion_09_lq_vs_riccati(paths_2e4_256, solved_brownian):
     t0 = time.time()
     sol = solved_brownian
     ric = riccati_oracle(brownian_lq(), paths_2e4_256.grid)
-    gap = abs(sol.J - ric.J)
-    budget = 3 * sol.J_stderr + 0.02 * sol.J
+    check = verify.riccati_agreement(sol.J, sol.J_stderr, ric.J)
     elapsed = time.time() - t0
     report("criterion-09 LQ vs Riccati oracle",
-           sol.converged and len(sol.iterations) <= 20 and gap <= budget
+           sol.converged and len(sol.iterations) <= 20 and check.passed
            and elapsed <= 300,
            f"J_MC = {sol.J:.6f} +- {sol.J_stderr:.6f}, J_riccati = {ric.J:.6f}, "
-           f"|gap| = {gap:.2e} <= {budget:.2e}; "
+           f"|gap| = {check.value:.2e} <= {check.tolerance:.2e}; "
            f"{len(sol.iterations)} iterations")
 
 
@@ -180,15 +180,14 @@ def test_criterion_10_stationarity_residuals(paths_2e4_256):
     spec = mixed_lq()
     sol = lq_picard_solve(spec, paths_2e4_256, PicardOptions(tol=1e-5, max_iter=30))
     assert sol.converged
-    rep = stationarity_residual(sol.problem, sol.estimate)
-    z_opt = rep.max_abs_z()
+    opt = verify.stationarity(stationarity_residual(sol.problem, sol.estimate))
     u_bad = ControlProcess.from_values(1.2 * sol.u.values)
     prob_bad = lq_adjoint_problem(spec, lq_model(spec), u_bad, paths_2e4_256)
     est_bad = estimate_q_formula(prob_bad, estimate_p(prob_bad))
     z_bad = stationarity_residual(prob_bad, est_bad).max_abs_z()
     report("criterion-10 maximum-principle residuals",
-           z_opt <= 3.0 and z_bad > 5.0,
-           f"optimum max |z| = {z_opt:.2f} (tol 3); 20%-perturbed control "
+           opt.passed and z_bad > 5.0,
+           f"optimum max |z| = {opt.value:.2f} (tol 3); 20%-perturbed control "
            f"max |z| = {z_bad:.1f} (> 5)")
 
 

@@ -1,6 +1,7 @@
 """CLI wiring: config schema, subcommands, exit codes, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,26 @@ class TestPathsCommand:
         main(["paths", "--config", str(cfg), "--out", str(out4), "--workers", "4"])
         assert (out1 / "paths.csv").read_bytes() == (out4 / "paths.csv").read_bytes()
 
+    def test_summary_lists_each_check(self, tmp_path):
+        out = tmp_path / "out"
+        main(["paths", "--config", str(write_config(tmp_path)), "--out", str(out)])
+        header = (out / "covariance_report.csv").read_text().splitlines()[:5]
+        lines = (out / "paths_summary.txt").read_text().splitlines()
+        assert lines[:5] == header
+        assert [ln.split(":")[0] for ln in lines[5:]] == [
+            "PASS bh_terminal_variance_z", "PASS bm_increment_variance_z"]
+
+    def test_numerical_failure_ends_the_summary(self, tmp_path, capsys):
+        # T^{2H} overflows in the variance check, after paths.csv is written
+        cfg = write_config(tmp_path, T=1e300, n_paths=50, n_steps=16)
+        out = tmp_path / "out"
+        assert main(["paths", "--config", str(cfg), "--out", str(out)]) \
+            == EXIT_CHECK_FAILURE
+        capsys.readouterr()
+        lines = (out / "paths_summary.txt").read_text().splitlines()
+        assert lines[0].startswith("# config_hash:") and len(lines) == 6
+        assert lines[5].startswith("FAILED in stage paths: OverflowError")
+
 
 class TestVerifyCommand:
     def test_unknown_suite_usage_error(self, tmp_path, capsys):
@@ -192,6 +213,24 @@ class TestVerifyCommand:
         assert text.splitlines()[5] == "name,value,stderr"
         assert "PASS" in captured.out
 
+    def test_lemma1_degenerate_horizon_fails_its_checks(self, tmp_path, capsys):
+        # at T = 1e-300 every expansion error underflows to 0 and the
+        # alpha-norm weights overflow: each check fails and says why
+        cfg = write_config(tmp_path, T=1e-300, n_paths=50, n_steps=16)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["verify", "lemma1", "--config", str(cfg), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CHECK_FAILURE
+        assert captured.err == ""
+        lines = (out / "verify_lemma1_summary.txt").read_text().splitlines()[5:]
+        assert [ln.split(":")[0] for ln in lines] == [
+            "FAIL lemma1_terminal_sq", "FAIL lemma1_sup_sq",
+            "FAIL lemma1_alpha_norm_sq"]
+        assert lines[0].endswith("a level is 0")
+        assert lines[2].endswith("a level is not finite")
+
     @pytest.mark.parametrize("n_steps", [1, 2, 3])
     def test_covariance_on_one_to_three_steps(self, tmp_path, capsys, n_steps):
         # n_steps // 4 == 0 puts a probe at node 0, where B^H = 0 on every path
@@ -210,8 +249,8 @@ class TestArithmeticFaults:
     FAILED line naming the stage, no traceback."""
 
     @pytest.mark.parametrize("command,T,fault,summary", [
-        (["verify", "lemma1"], 1e-300, "ZeroDivisionError",
-         "verify_lemma1_summary.txt"),
+        (["verify", "covariance"], 1e300, "OverflowError",
+         "verify_covariance_summary.txt"),
         (["paths"], 1e300, "OverflowError", None),
     ])
     def test_reported_with_stage(self, tmp_path, capsys, command, T, fault,

@@ -1,41 +1,17 @@
-"""Deterministic operators: kernels, norm, transfer identity."""
+"""Deterministic operators: norm, transfer operator, transfer identity."""
 
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
 from fbmcontrol import transforms
-from fbmcontrol.errors import DomainError
 from fbmcontrol.fbm import TimeGrid, coarsen, kappa_h
 from fbmcontrol.transforms import (GridFunction, gamma_star, gamma_star_at,
-                                   isometry_check, phi_kernel, phi_norm_sq,
-                                   transfer_check)
+                                   isometry_check, phi_norm_sq, transfer_check)
 
 
 def gf(n, fn, T=1.0):
     return GridFunction.from_callable(TimeGrid(T, n), fn)
-
-
-class TestPhiKernel:
-    def test_symmetry(self):
-        rng = np.random.default_rng(1)
-        for _ in range(25):
-            s, t = rng.uniform(0, 2, 2)
-            H = rng.uniform(0.51, 0.99)
-            if s != t:
-                assert phi_kernel(s, t, H) == pytest.approx(phi_kernel(t, s, H))
-
-    def test_derived_value(self):
-        # H(2H-1)|0-1|^{2H-2} at H = 0.75
-        assert phi_kernel(0.0, 1.0, 0.75) == pytest.approx(0.375)
-
-    def test_positive(self):
-        for H in (0.55, 0.75, 0.95):
-            assert phi_kernel(0.3, 1.7, H) > 0
-
-    def test_diagonal_rejected(self):
-        with pytest.raises(DomainError):
-            phi_kernel(1.0, 1.0, 0.75)
 
 
 class TestPhiNormSq:
