@@ -16,14 +16,17 @@ oracle, not the kernel generator, anchors high-H covariance tests.
 
 from __future__ import annotations
 
+import functools
+import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, roots_jacobi
+from scipy.special import beta as beta_fn, comb, eval_jacobi, gamma as gamma_fn
 
 from .errors import DomainError, FactorizationError, GridMismatchError
 from .rng import SubstreamSampler
@@ -133,18 +136,37 @@ class PathSet:
                        self.dB, bh)
 
     def to_csv(self, path) -> None:
-        """Write rows `path,dim,node,t,B,BH` for every node."""
-        node_t = [f"{k},{t:.17g}," for k, t in enumerate(self.grid.nodes.tolist())]
-        nan_row = [float("nan")] * self.grid.n_nodes
+        """Write rows `path,dim,node,t,B,BH` for every node.
+
+        Each (path, dim) block is one `%` on a template of its n + 1 rows:
+        the `path,dim,` prefix joined to the rows' `node,t,%.17g,%.17g`.
+        """
+        rows = [f"{k},{t:.17g},%.17g,%.17g\n"
+                for k, t in enumerate(self.grid.nodes.tolist())]
+        nan_row = [float("nan")] * len(rows)
+        values = nan_row * 2  # B and BH, interleaved
         B, BH = self.B, self.BH
         with open(path, "w", newline="") as fh:
             fh.write("path,dim,node,t,B,BH\n")
             for p in range(self.n_paths):
                 for d in range(self.m):
-                    b = B[p, d].tolist() if B is not None else nan_row
-                    bh = BH[p, d].tolist() if BH is not None else nan_row
-                    fh.write("".join([f"{p},{d},{kt}{x:.17g},{y:.17g}\n"
-                                      for kt, x, y in zip(node_t, b, bh)]))
+                    if B is not None:
+                        values[0::2] = B[p, d].tolist()
+                    if BH is not None:
+                        values[1::2] = BH[p, d].tolist()
+                    head = f"{p},{d},"
+                    fh.write((head + head.join(rows)) % tuple(values))
+
+
+_LOG_HALF_FLOAT_MAX = math.log(sys.float_info.max / 2)
+
+
+def _check_power(x, p: float, what: str) -> None:
+    """Raise OverflowError before x ** p is taken if, for the largest x, it
+    or the sum of two such powers would leave the float range."""
+    top = float(np.max(x, initial=0.0))
+    if top > 1.0 and p * math.log(top) >= _LOG_HALF_FLOAT_MAX:
+        raise OverflowError(f"{what} = {top:.6g}**{p:.6g} leaves the float range")
 
 
 def fbm_covariance(t, s, h) -> np.ndarray | float:
@@ -154,6 +176,8 @@ def fbm_covariance(t, s, h) -> np.ndarray | float:
     s = np.asarray(s, dtype=float)
     if np.any(t < 0) or np.any(s < 0):
         raise DomainError("covariance requires non-negative times")
+    _check_power([np.max(t, initial=0.0), np.max(s, initial=0.0)], 2 * H,
+                 "fbm_covariance: t^(2H)")
     out = 0.5 * (t ** (2 * H) + s ** (2 * H) - np.abs(t - s) ** (2 * H))
     return float(out) if out.ndim == 0 else out
 
@@ -185,23 +209,131 @@ def kernel_z(t: float, s: float, h) -> float:
                  - (H - 0.5) * s ** (0.5 - H) * inner)
 
 
-KERNEL_SERIES_TERMS = 61  # terms of each 2F1 series in _smooth_factor
+KERNEL_SERIES_TERMS = 61  # terms of each 2F1 series that _smooth_factor economizes
+KERNEL_SHORT_TERMS = 24   # power terms in 4v - 1 that each economized series keeps
 
 
-def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_n coef[n] x^n by in-place Horner steps."""
-    acc = np.full_like(x, coef[-1])
+def _horner(coef: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_n coef[n] x^n into ``out`` by in-place Horner steps."""
+    out.fill(coef[-1])
     for cn in coef[-2::-1]:
-        acc *= x
-        acc += cn
-    return acc
+        out *= x
+        out += cn
+    return out
 
 
-def _smooth_factor(H: float):
+def _series_coefficients(H: float) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``KERNEL_SERIES_TERMS`` power coefficients of R's two series.
+
+    ``gauss[n]`` multiplies c^n and ``conn[n]`` multiplies r^n, with the
+    constants of ``_smooth_factor``'s formula folded in.
+    """
+    a = H - 0.5
+    kH = kappa_h(H)
+    j = np.arange(KERNEL_SERIES_TERMS - 1.0)
+    n = np.arange(KERNEL_SERIES_TERMS)
+    gauss = np.cumprod(np.r_[kH * a, (2 * H + j) / (j + 1)]) / (H + 0.5 + n)
+    conn = np.cumprod(np.r_[0.5 * kH, (1.5 - H + j) / (2 - 2 * H + j)])
+    return gauss, conn
+
+
+def _economize(series: np.ndarray) -> tuple[float, np.ndarray]:
+    """(s0, p) with s0 + v p(4v - 1) = sum_n series[n] v^n on 0 <= v <= 1/2.
+
+    p holds ``KERNEL_SHORT_TERMS`` power coefficients in x = 4v - 1.  The
+    tail sum_{n>=1} series[n] v^{n-1} is re-expanded in x, where every term
+    is positive, and its highest powers are then removed one at a time, each
+    by subtracting its multiple of the Chebyshev polynomial T_k: Lanczos'
+    economization (Trefethen, Approximation Theory and Approximation
+    Practice, 2013, ch. 8).  That is the tail's Chebyshev series on
+    [0, 1/2] cut after ``KERNEL_SHORT_TERMS`` terms.  The constant term is
+    kept apart, so the error vanishes with v where the sum is s0.
+    """
+    tail = series[1:]
+    n = np.arange(len(tail))
+    coef = tail @ (comb(n[:, None], n) * 0.25 ** n[:, None])
+    cheb = np.zeros((len(n), len(n)))  # row k: the power coefficients of T_k
+    cheb[0, 0] = cheb[1, 1] = 1.0
+    for k in range(2, len(n)):
+        cheb[k, 1:] = 2 * cheb[k - 1, :-1]
+        cheb[k] -= cheb[k - 2]
+    for k in range(len(n) - 1, KERNEL_SHORT_TERMS - 1, -1):
+        coef -= coef[k] / cheb[k, k] * cheb[k]
+    return float(series[0]), coef[:KERNEL_SHORT_TERMS]
+
+
+@dataclass(frozen=True)
+class _SmoothFactor:
+    """R of one H, see ``_smooth_factor``; call it as R(t, s)."""
+
+    a: float
+    kH: float
+    h_over_k: float
+    gauss: tuple[float, np.ndarray]  # the Gauss series in c, for c <= 1/2
+    conn: tuple[float, np.ndarray]   # the connection series in r, for c > 1/2
+
+    def __call__(self, t, s) -> np.ndarray:
+        t, s = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                   np.asarray(s, dtype=float))
+        r = s / t
+        c = (t - s) / t
+        out = np.empty(r.shape)
+        near = c <= 0.5
+        for side in (True, False):
+            m = int(np.count_nonzero(near))
+            out[near] = self.side(r[near], c[near], side, False,
+                                  np.empty((3, m)))
+            near = ~near
+        return out
+
+    def side(self, r, c, near: bool, unit_z: bool, work) -> np.ndarray:
+        """R, or Z_H(1, r) = R c^a if ``unit_z``, at points on one side of
+        c = 1/2 (``near``: c <= 1/2), in the last of the three ``work`` rows.
+
+        The series is s0 + v p(4v - 1), v = c near and v = r far.  With
+        ra = r^a and q = (r/c)^a both results come from one numerator: near,
+        R = num/ra and R c^a = num/q; far, R = num/ra + (H/kappa_H) q and
+        R c^a = num/q + (H/kappa_H) ra.  Two powers per point.
+        """
+        ra, q, num = work
+        np.power(r, self.a, out=ra)
+        s0, p = self.gauss if near else self.conn
+        v = c if near else r
+        np.multiply(v, 4.0, out=q)
+        q -= 1.0
+        _horner(p, q, num)
+        num *= v
+        num += s0
+        num *= c
+        if near:
+            num *= ra
+            num *= ra
+        np.subtract(self.kH, num, out=num)
+        if near and not unit_z:
+            num /= ra
+            return num
+        np.divide(r, c, out=q)
+        q **= self.a
+        if near:
+            num /= q
+        elif unit_z:
+            num /= q
+            ra *= self.h_over_k
+            num += ra
+        else:
+            num /= ra
+            q *= self.h_over_k
+            num += q
+        return num
+
+
+@functools.lru_cache(maxsize=None)
+def _smooth_factor(H: float) -> _SmoothFactor:
     """R(t, s) = Z_H(t, s) / (t-s)^{H-1/2}, the cofactor of the diagonal singularity.
 
-    Returns a vectorized callable of (t, s), 0 < s < t.  With a = H - 1/2,
-    b = H + 1/2, r = s/t and c = (t-s)/t, the inner integral of Z_H is
+    Returns a vectorized callable of (t, s), 0 < s < t, built once per H.
+    With a = H - 1/2, b = H + 1/2, r = s/t and c = (t-s)/t, the inner
+    integral of Z_H is
     F(c) = 2F1(2H, b; b+1; c) and R = kappa_H (r^{-a} - (a/b) r^a c F(c)).
     R is evaluated by one of two power series, each in a variable formed
     directly from t and s, so neither c nor r is ever taken as one minus
@@ -216,38 +348,19 @@ def _smooth_factor(H: float):
       R = r^{-a} (kappa_H - (kappa_H/2) c G(r)) + (H/kappa_H) (r/c)^a, and
       nothing blows up as H -> 1/2, where Gamma(1-2H) and b/(2H-1) do.
 
-    Both series are summed to ``KERNEL_SERIES_TERMS`` = 61 terms by
-    Horner's rule.  At the split c = r = 1/2, for every H in (1/2, 1), the
-    n-th Gauss term is at most (n+1) 2^{-n} times the first and the n-th
-    term of G at most n 2^{1-n} times the second, so both tails past 61
-    terms are below 2^{-53} of the sum.  The coefficients are computed
-    here, once per call, never at import.
+    Both series are taken to ``KERNEL_SERIES_TERMS`` = 61 terms.  At the
+    split c = r = 1/2, for every H in (1/2, 1), the n-th Gauss term is at
+    most (n+1) 2^{-n} times the first and the n-th term of G at most
+    n 2^{1-n} times the second, so both tails past 61 terms are below
+    2^{-53} of the sum.  Each is then ``_economize``d, never at import, to
+    a polynomial of ``KERNEL_SHORT_TERMS`` terms in 4v - 1 (v = c or r)
+    plus the series' constant term, which stays apart: near H = 1 the first
+    ratio of G, (3/2-H)/(2-2H), reaches 2.5e5.  The short sums agree with
+    the long ones to a few ulps on [0, 1/2].
     """
-    a = H - 0.5
     kH = kappa_h(H)
-    j = np.arange(KERNEL_SERIES_TERMS - 1.0)
-    n = np.arange(KERNEL_SERIES_TERMS)
-    gauss = np.cumprod(np.r_[kH * a, (2 * H + j) / (j + 1)]) / (H + 0.5 + n)
-    conn = np.cumprod(np.r_[0.5 * kH, (1.5 - H + j) / (2 - 2 * H + j)])
-    h_over_k = H / kH
-
-    def R(t, s):
-        t, s = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                   np.asarray(s, dtype=float))
-        r = s / t
-        c = (t - s) / t
-        out = np.empty(r.shape)
-        near = c <= 0.5
-        rn, cn = r[near], c[near]
-        ra = rn ** a
-        out[near] = kH / ra - ra * cn * _horner(gauss, cn)
-        far = ~near
-        rf, cf = r[far], c[far]
-        out[far] = ((kH - cf * _horner(conn, rf)) / rf ** a
-                    + h_over_k * (rf / cf) ** a)
-        return out
-
-    return R
+    gauss, conn = _series_coefficients(H)
+    return _SmoothFactor(H - 0.5, kH, H / kH, _economize(gauss), _economize(conn))
 
 
 def kernel_z_closed(t, s, h) -> np.ndarray | float:
@@ -272,79 +385,169 @@ class _CellRules(NamedTuple):
     """R and the four product-quadrature rules of one H, built once per growth."""
 
     H: float
-    R: Callable
+    R: _SmoothFactor
     single: tuple[np.ndarray, np.ndarray]    # k = 1: Gauss-Jacobi (a, -a)
     first: tuple[np.ndarray, np.ndarray]     # first cell: Gauss-Jacobi (0, -a)
     diagonal: tuple[np.ndarray, np.ndarray]  # diagonal cell: Gauss-Jacobi (a, 0)
     interior: tuple[np.ndarray, np.ndarray]  # Gauss-Legendre
 
 
+def _gauss_jacobi(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """``KERNEL_ORDER``-point Gauss rule for the weight (1-x)^a (1+x)^b on [-1, 1].
+
+    Golub & Welsch (1969): the nodes are the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix of the orthonormal Jacobi polynomials.  One
+    Newton step on P_n then polishes them, and the weights are
+    1/(P_{n-1} P_n') scaled to the weight's integral: the steps, and the
+    floating-point operations, of ``scipy.special.roots_jacobi``, whose
+    banded eigensolver would load ``scipy.linalg``.
+    """
+    n = KERNEL_ORDER
+    k = np.arange(1.0, n)
+    s = 2.0 * k + a + b
+    diag = np.r_[(b - a) / (2 + a + b), (b * b - a * a) / (s * (s + 2))]
+    sub = (2.0 / s * np.sqrt((k + a) * (k + b) / (s + 1))
+           * np.where(k == 1, 1.0, np.sqrt(k * (k + a + b) / (s - 1))))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(sub, -1))
+    dy = 0.5 * (n + a + b + 1) * eval_jacobi(n - 1, a + 1, b + 1, x)
+    x -= eval_jacobi(n, a, b, x) / dy
+    fm = eval_jacobi(n - 1, a, b, x)
+    # bring both factors near 1 before their product, as scipy does
+    for f in (fm, dy):
+        log_f = np.log(np.abs(f))
+        f /= np.exp((log_f.max() + log_f.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w *= 2.0 ** (a + b + 1) * beta_fn(a + 1, b + 1) / w.sum()
+    return x, w
+
+
 def _cell_rules(H: float) -> _CellRules:
     a = H - 0.5
-    return _CellRules(H, _smooth_factor(H), roots_jacobi(KERNEL_ORDER, a, -a),
-                      roots_jacobi(KERNEL_ORDER, 0.0, -a),
-                      roots_jacobi(KERNEL_ORDER, a, 0.0),
+    return _CellRules(H, _smooth_factor(H), _gauss_jacobi(a, -a),
+                      _gauss_jacobi(0.0, -a), _gauss_jacobi(a, 0.0),
                       np.polynomial.legendre.leggauss(KERNEL_ORDER))
 
 
-def _fixed_sum(f: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _fixed_sum(f: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     """Sum over the last axis of f * w, node after node.
 
     The order of the additions depends on nothing but the node count, so a
     cell's value does not depend on how many cells are summed at once.
     """
-    out = f[..., 0] * w[0]
+    out = np.multiply(f[..., 0], w[0], out=out)
     for j in range(1, len(w)):
         out += f[..., j] * w[j]
     return out
 
 
-def _unit_rows(rules: _CellRules, k0: int, k1: int) -> np.ndarray:
-    """Rows k0 <= k < k1 of the unit-step table, shape (k1 - k0, k1 - 1).
+def _interior_sides(b0: int, b1: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The cells (first, last) of rows b0 <= k < b1 that may hold points
+    with c > 1/2, then those that may hold points with c <= 1/2."""
+    cols = b1 - 3
+    return (1, min(cols, (b1 - 1) // 2 + 2)), (max(1, b0 // 2 - 2), cols)
+
+
+def _interior_rows(rules: _CellRules, rows: np.ndarray, b0: int, b1: int,
+                   s: np.ndarray, scratch: np.ndarray) -> None:
+    """Interior cells 1 <= i <= k - 2 of rows b0 <= k < b1 into ``rows``.
+
+    Plain Gauss-Legendre on Z, which is smooth there, with
+    Z(k, s) = k^a Z(1, s/k); ``s[j, i - 1]`` is node j of cell i.  A point
+    lies on the far side of R's split (c > 1/2) only if s < k/2, so the
+    cells of ``_interior_sides`` hold every far and every near point of the
+    block.  Each side is evaluated on its (node, row, cell) box at once, in
+    five rows of ``scratch``, and where the boxes overlap each point takes
+    its own side.  Cells past a short row's last interior cell are
+    evaluated too and then zeroed; |c| keeps them finite.  Nothing of the
+    block's size is allocated.
+    """
+    ks = np.arange(b0, b1, dtype=float)[:, None]
+
+    def box(near: bool, c0: int, c1: int, work: np.ndarray):
+        shape = (KERNEL_ORDER, len(ks), c1 - c0 + 1)
+        r, c, *rest = work[:, :np.prod(shape)].reshape(5, *shape)
+        np.divide(s[:, None, c0 - 1:c1], ks, out=r)
+        np.subtract(ks, s[:, None, c0 - 1:c1], out=c)
+        c /= ks
+        np.abs(c, out=c)
+        return c, rules.R.side(r, c, near, True, rest)
+
+    (_, far_end), (near_start, cols) = _interior_sides(b0, b1)
+    c_far, z_far = box(False, 1, far_end, scratch[:5])
+    _, z = box(True, near_start, cols, scratch[5:])
+    np.copyto(z[..., :far_end - near_start + 1], z_far[..., near_start - 1:],
+              where=c_far[..., near_start - 1:] > 0.5)
+    wg = rules.interior[1]
+    target = rows[:, 1:cols + 1]
+    _fixed_sum(np.moveaxis(z_far[..., :near_start - 1], 0, -1), wg,
+               out=target[:, :near_start - 1])
+    _fixed_sum(np.moveaxis(z, 0, -1), wg, out=target[:, near_start - 1:])
+    target *= ks ** (rules.H - 0.5) / 2
+    target[np.arange(2.0, cols + 2) >= ks] = 0.0
+
+
+def _unit_rows(rules: _CellRules, table: np.ndarray, k0: int) -> None:
+    """Fill rows k0 <= k < k1 of the unit-step table (k1, k1 - 1), in place.
 
     On the grid dt = 1, t_k = k, entry (k, i) is the average of Z_H(k, .)
     over cell i; it depends only on (k, i, H).  Interior cells use
     Gauss-Legendre; the first cell, the diagonal cell and the single cell of
     row 1 use Gauss-Jacobi rules that integrate the end-point power
     singularities in closed form.
+
+    The interior goes in blocks of ``KERNEL_BLOCK_ROWS`` rows, largest
+    first, to one worker per available CPU, and each worker reuses one
+    scratch buffer for all its blocks.  The series and power ufuncs release
+    the GIL, which is held only between numpy calls.
     """
     a = rules.H - 0.5
     R = rules.R
-    rows = np.zeros((k1 - k0, max(k1 - 1, 0)))
-    if k1 <= 1:
-        return rows
-    if k0 <= 1:
+    k1 = table.shape[0]
+    blocks = [(b0, min(b0 + KERNEL_BLOCK_ROWS, k1))
+              for b0 in range(max(k0, 3), k1, KERNEL_BLOCK_ROWS)][::-1]
+    if blocks:
+        s = (rules.interior[0][:, None] + 1) / 2 + np.arange(1.0, k1 - 2)
+        most = max(KERNEL_ORDER * (b1 - b0) * (c1 - c0 + 1)
+                   for b0, b1 in blocks for c0, c1 in _interior_sides(b0, b1))
+        pending = iter(blocks)
+        take = threading.Lock()
+
+        def work():
+            scratch = np.empty((10, most))
+            while True:
+                with take:
+                    block = next(pending, None)
+                if block is None:
+                    return
+                b0, b1 = block
+                _interior_rows(rules, table[b0:b1], b0, b1, s, scratch)
+
+        threads = min(_kernel_threads(), len(blocks))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for done in [pool.submit(work) for _ in range(threads)]:
+                done.result()  # re-raises a failed block
+
+    # the end-point cells come last: the interior zeroes every cell of a
+    # block from a row's diagonal on
+    if k0 <= 1 < k1:
         # k = 1: single cell with both end-point powers
         x1, w1 = rules.single
         s1 = (x1 + 1) / 2
         g1 = s1 ** a * (1 - s1) ** (-a) * R(1.0, s1) * (1 - s1) ** a
-        rows[1 - k0, 0] = _fixed_sum(g1, w1) / 2
+        table[1, 0] = _fixed_sum(g1, w1) / 2
     ks = np.arange(max(k0, 2), k1)
-    r = ks - k0
     t = ks.astype(float)[:, None]
 
     # first cell: integrate the s^{-a} start-up factor exactly
     x0, w0 = rules.first
     s0 = ((x0 + 1) / 2)[None, :]
     g = s0 ** a * R(t, s0) * (t - s0) ** a
-    rows[r, 0] = 0.5 ** (1 - a) * _fixed_sum(g, w0)
+    table[ks, 0] = 0.5 ** (1 - a) * _fixed_sum(g, w0)
 
     # diagonal cell: integrate the (t-s)^a factor exactly against smooth R
     xd, wd = rules.diagonal
     sd = (ks - 1).astype(float)[:, None] + ((xd + 1) / 2)[None, :]
-    rows[r, ks - 1] = 0.5 ** (1 + a) * _fixed_sum(R(t, sd), wd)
-
-    # interior cells 1 <= i <= k - 2: plain Gauss-Legendre on Z (smooth there)
-    kk, ii = np.meshgrid(ks, np.arange(1, k1 - 2), indexing="ij")
-    mask = ii <= kk - 2
-    if mask.any():
-        k_f, i_f = kk[mask], ii[mask]
-        xg, wg = rules.interior
-        tk = k_f.astype(float)[:, None]
-        s = i_f.astype(float)[:, None] + ((xg + 1) / 2)[None, :]
-        z = R(tk, s) * (tk - s) ** a
-        rows[k_f - k0, i_f] = _fixed_sum(z, wg) / 2
-    return rows
+    table[ks, ks - 1] = 0.5 ** (1 + a) * _fixed_sum(R(t, sd), wd)
 
 
 def _kernel_threads() -> int:
@@ -354,12 +557,10 @@ def _kernel_threads() -> int:
 def _unit_table(H: float, n_steps: int) -> np.ndarray:
     """The unit-step table of H with at least rows 0..n_steps, grown on demand.
 
-    Only rows the table does not hold yet are computed, in blocks of
-    ``KERNEL_BLOCK_ROWS`` rows, largest first, on one thread per available
-    CPU, under one lock; the blocks share one set of ``_cell_rules``.  The
-    series and power ufuncs release the GIL, which is held only between
-    numpy calls.  Every row depends only on (k, H), so the table is the same
-    for any thread count, block size and growth history.
+    Only rows the table does not hold yet are computed, by one
+    ``_unit_rows`` call under one lock, into the grown table.  Every row
+    depends only on (k, H), so the table is the same for any thread count,
+    block size and growth history.
     """
     with _unit_tables_lock:
         w = _unit_tables.get(H)
@@ -369,16 +570,7 @@ def _unit_table(H: float, n_steps: int) -> np.ndarray:
         grown = np.zeros((n_steps + 1, n_steps))
         if w is not None:
             grown[:have, :have - 1] = w
-        rules = _cell_rules(H)
-        blocks = [(k0, min(k0 + KERNEL_BLOCK_ROWS, n_steps + 1))
-                  for k0 in range(have, n_steps + 1, KERNEL_BLOCK_ROWS)]
-
-        def fill(block):
-            k0, k1 = block
-            grown[k0:k1, :k1 - 1] = _unit_rows(rules, k0, k1)
-
-        with ThreadPoolExecutor(max_workers=_kernel_threads()) as pool:
-            list(pool.map(fill, blocks[::-1]))  # re-raises a failed block
+        _unit_rows(_cell_rules(H), grown, have)
         grown.setflags(write=False)
         _unit_tables[H] = grown
         return grown

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridMismatchError
-from .fbm import PathSet, TimeGrid, _hval, kappa_h
+from .fbm import PathSet, TimeGrid, _check_power, _hval, kappa_h
 
 __all__ = [
     "GridFunction",
@@ -127,6 +127,7 @@ def gamma_star_at(f: GridFunction, h, t: float) -> float:
     a = cuts[:-1] - t
     b = cuts[1:] - t
     width = cuts[1:] - cuts[:-1]
+    _check_power(b, alpha + 1, "gamma_star_at: (u - t)^(H+1/2)")
     I0 = (b ** alpha - a ** alpha) / alpha
     I1 = ((b ** (alpha + 1) - a ** (alpha + 1)) / (alpha + 1) - a * I0) / width
     total = np.sum(s_at[:-1] * I0 + (s_at[1:] - s_at[:-1]) * I1)
@@ -210,6 +211,7 @@ def gamma_star_l2(gf: GridFunction, h) -> float:
     total = w_half_sq * dt ** (beta + 1) / (beta + 1)  # first cell, constant W^2
     a = nodes[1:-1]
     b = nodes[2:]
+    _check_power(b, beta + 2, "gamma_star_l2: t^(3-2H)")
     P0 = (b ** (beta + 1) - a ** (beta + 1)) / (beta + 1)
     P1 = ((b ** (beta + 2) - a ** (beta + 2)) / (beta + 2) - a * P0) / dt
     total += np.sum(w_sq[1:-1] * P0 + (w_sq[2:] - w_sq[1:-1]) * P1)

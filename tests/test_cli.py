@@ -252,12 +252,17 @@ class TestArithmeticFaults:
         (["verify", "covariance"], 1e300, "OverflowError",
          "verify_covariance_summary.txt"),
         (["paths"], 1e300, "OverflowError", None),
+        (["verify", "operators"], 1e300, "OverflowError",
+         "verify_operators_summary.txt"),
     ])
     def test_reported_with_stage(self, tmp_path, capsys, command, T, fault,
                                  summary):
         cfg = write_config(tmp_path, T=T, n_paths=50, n_steps=16)
         out = tmp_path / "o"
-        rc = main([*command, "--config", str(cfg), "--out", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([*command, "--config", str(cfg), "--out", str(out)])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         err = capsys.readouterr().err
         assert rc == EXIT_CHECK_FAILURE
         stage = " ".join(command)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
 from fbmcontrol import fbm
 from fbmcontrol.errors import DomainError, GridMismatchError
@@ -58,7 +59,8 @@ SMOOTH_FACTOR_REFS = {
 }
 
 # W[k, 0] on (T 2, n 300, H 0.9), the same quadrature (the double-precision
-# roots_jacobi(4, 0, -a) nodes and weights; roots_jacobi(4, a, -a) for k = 1)
+# roots_jacobi(4, 0, -a) nodes and weights; roots_jacobi(4, a, -a) for k = 1;
+# fbm._gauss_jacobi gives them bit for bit)
 # summed at mp.dps = 40 with R from the hyp2f1 formula above and
 # dt = mpf(2.0 / 300):
 #   k = 1:  dt**a * sum(w * s**a * (1-s)**-a * R(1, s) * (1-s)**a) / 2
@@ -277,8 +279,8 @@ class TestKernelTable:
         monkeypatch.setattr(fbm, "_unit_tables", {})
         computed = []
         unit_rows = fbm._unit_rows
-        monkeypatch.setattr(fbm, "_unit_rows", lambda H, k0, k1: (
-            computed.append(k1 - k0), unit_rows(H, k0, k1))[1])
+        monkeypatch.setattr(fbm, "_unit_rows", lambda rules, table, k0: (
+            computed.append(len(table) - k0), unit_rows(rules, table, k0))[1])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -321,6 +323,15 @@ class TestKernelTable:
         for k, ref in FIRST_CELL_T2_N300_H09:
             assert abs(W[k, 0] - float(ref)) <= 1e-14 * float(ref)
 
+    @pytest.mark.parametrize("H", [0.5 + 1e-9, 0.51, 0.75, 0.95, 1 - 1e-6])
+    def test_gauss_jacobi_rules_match_scipy(self, H):
+        a = H - 0.5
+        for alpha, beta in ((a, -a), (0.0, -a), (a, 0.0)):
+            x, w = fbm._gauss_jacobi(alpha, beta)
+            x_ref, w_ref = roots_jacobi(fbm.KERNEL_ORDER, alpha, beta)
+            assert np.all(np.abs(x - x_ref) <= 4 * np.spacing(np.abs(x_ref)))
+            assert np.all(np.abs(w - w_ref) <= 4 * np.spacing(w_ref))
+
     @pytest.mark.parametrize("H", [0.6, 0.9])
     def test_interior_cells_are_legendre_cell_averages(self, H):
         grid = TimeGrid(1.0, 64)
@@ -350,12 +361,35 @@ class TestSmoothFactor:
 
     @pytest.mark.parametrize("H", [0.5 + 1e-9, 0.51, 0.75, 0.95, 1 - 1e-6])
     def test_term_count_reaches_the_split(self, H, monkeypatch):
-        # at c = r = 1/2 both series are summed to within an ulp of R
-        r = np.array([0.5, np.nextafter(0.5, 0.0)])
-        R = fbm._smooth_factor(H)(1.0, r)
+        # at the split, c = 1/2 for the Gauss series and r just below 1/2
+        # for the connection series, both reach their 200-term sums within
+        # an ulp
+        polyval = np.polynomial.polynomial.polyval
+        v = (0.5, np.nextafter(0.5, 0.0))
+        sums = [polyval(x, s) for x, s in zip(v, fbm._series_coefficients(H))]
         monkeypatch.setattr(fbm, "KERNEL_SERIES_TERMS", 200)
-        R_long = fbm._smooth_factor(H)(1.0, r)
-        assert np.all(np.abs(R - R_long) <= np.spacing(np.abs(R_long)))
+        long = [polyval(x, s) for x, s in zip(v, fbm._series_coefficients(H))]
+        for got, ref in zip(sums, long):
+            assert abs(got - ref) <= np.spacing(abs(ref))
+
+    @pytest.mark.parametrize("H", [0.5 + 1e-9, 0.51, 0.75, 0.95, 1 - 1e-6])
+    def test_short_series_match_the_long_ones(self, H):
+        # the economized sums that R evaluates, against the 61-term power
+        # series they replace, on a dense grid of r in (0, 1): c = 1 - r
+        # takes the Gauss series where c <= 1/2, r the connection series
+        # where c > 1/2
+        R = fbm._smooth_factor(H)
+        polyval = np.polynomial.polynomial.polyval
+        r = np.linspace(0.0, 1.0, 20_001)[1:-1]
+        r = np.concatenate([r, np.geomspace(1e-12, 1e-3, 500),
+                            1 - np.geomspace(1e-12, 1e-3, 500)])
+        c = 1.0 - r
+        for (s0, p), series, v in zip((R.gauss, R.conn),
+                                      fbm._series_coefficients(H),
+                                      (c[c <= 0.5], r[c > 0.5])):
+            short = s0 + v * polyval(4 * v - 1, p)
+            long = polyval(v, series)
+            assert np.all(np.abs(short - long) <= 4 * np.spacing(long))
 
     def test_scalar_and_broadcast_inputs(self):
         R = fbm._smooth_factor(0.75)
@@ -400,6 +434,17 @@ class TestLazyImport:
         assert _run_fresh(probe) == [
             "0 []", "1 ['_cell_rules', '_smooth_factor', '_unit_rows', '_unit_table']"]
 
+    def test_kernel_build_loads_no_scipy_linalg(self):
+        # the Gauss-Jacobi rules come from numpy's eigensolver
+        probe = (
+            "import sys\n"
+            "import fbmcontrol.cli\n"
+            "from fbmcontrol import fbm\n"
+            "fbm.kernel_weights(fbm.TimeGrid(1.0, 64), 0.75)\n"
+            "print(len(fbm._unit_tables), 'scipy.linalg' in sys.modules)\n"
+        )
+        assert _run_fresh(probe) == ["1 False"]
+
     def test_cli_import_loads_no_heavy_scipy(self):
         # only numpy and scipy.special at import; kernel_z's quad loads on call
         probe = (
@@ -412,6 +457,22 @@ class TestLazyImport:
             "print('scipy.integrate' in sys.modules)\n"
         )
         assert _run_fresh(probe) == ["[]", "True"]
+
+
+def _row_writer_csv(ps) -> str:
+    """paths.csv as written one f-string row at a time, the writer that
+    ``PathSet.to_csv`` must match byte for byte."""
+    node_t = [f"{k},{t:.17g}," for k, t in enumerate(ps.grid.nodes.tolist())]
+    nan_row = [float("nan")] * ps.grid.n_nodes
+    B, BH = ps.B, ps.BH
+    out = ["path,dim,node,t,B,BH\n"]
+    for p in range(ps.n_paths):
+        for d in range(ps.m):
+            b = B[p, d].tolist() if B is not None else nan_row
+            bh = BH[p, d].tolist() if BH is not None else nan_row
+            out += [f"{p},{d},{kt}{x:.17g},{y:.17g}\n"
+                    for kt, x, y in zip(node_t, b, bh)]
+    return "".join(out)
 
 
 class TestCholeskyGenerator:
@@ -466,17 +527,16 @@ class TestPathSetPlumbing:
         assert len(lines) == 1 + 3 * 1 * 5
 
     def test_csv_bytes_match_reference_loop(self, tmp_path):
-        ps = generate_bm(TimeGrid(1.0, 4), 2, 3, seed=5)  # BH is None: NaN column
+        # Brownian paths alone (BH is NaN), an m = 2 kernel bundle with both
+        # columns, and a Cholesky bundle (B is NaN)
+        grid = TimeGrid(1.0, 8)
+        bundles = [generate_bm(TimeGrid(1.0, 4), 2, 3, seed=5),
+                   fbm_from_kernel(generate_bm(grid, 2, 3, seed=7), 0.75),
+                   fbm_from_cholesky(grid, 0.75, 1, 3, seed=7)]
         f = tmp_path / "paths.csv"
-        ps.to_csv(f)
-        t = ps.grid.nodes
-        lines = ["path,dim,node,t,B,BH\n"]
-        for p in range(ps.n_paths):
-            for d in range(ps.m):
-                for k in range(ps.grid.n_nodes):
-                    lines.append(f"{p},{d},{k},{t[k]:.17g},{ps.B[p, d, k]:.17g},"
-                                 f"{float('nan'):.17g}\n")
-        assert f.read_bytes() == "".join(lines).encode()
+        for ps in bundles:
+            ps.to_csv(f)
+            assert f.read_bytes() == _row_writer_csv(ps).encode()
 
     def test_immutability(self, coupled_paths_256):
         with pytest.raises(ValueError):
