@@ -16,8 +16,9 @@ import numpy as np
 
 from .adjoint import (estimate_p, estimate_q_bump, estimate_q_formula,
                       bsde_residual)
-from .fbm import (PathSet, TimeGrid, _hval, coarsen, fbm_covariance,
-                  fbm_from_cholesky, fbm_from_kernel, generate_bm, kernel_z)
+from .fbm import (PathSet, TimeGrid, _check_power, _hval, coarsen,
+                  fbm_covariance, fbm_from_cholesky, fbm_from_kernel,
+                  generate_bm, kernel_z)
 from .lq import LqSpec, lq_adjoint_problem, lq_model
 from .sde import (ControlProcess, CoefficientModel, euler_mixed, fundamental_phi,
                   fundamental_psi, linearize, lemma1_experiment,
@@ -125,7 +126,9 @@ def kernel_terminal_variance(paths: PathSet,
                              name: str = "kernel_terminal_variance") -> list[CheckResult]:
     """Sample variance of B^H at T within 4 stderr of T^{2H}, for every
     driver: the check is ``name`` with one driver, ``name_dim<j>`` with more."""
-    var_true = paths.grid.horizon ** (2 * _hval(paths.hurst))
+    T, H = paths.grid.horizon, _hval(paths.hurst)
+    _check_power(T, 2 * H, "kernel_terminal_variance: T^(2H)")
+    var_true = T ** (2 * H)
     out = []
     for j in range(paths.m):
         var_hat, se = _terminal_variance(paths, j)
