@@ -48,16 +48,17 @@ REGRESSION_DEGREE = 2
 REGRESSION_RIDGE = 1e-8
 
 
+def _scaled(x: np.ndarray, center, scale) -> np.ndarray:
+    """z = (x - center)/scale; a node with zero spread (e.g. t = 0) gets
+    z = 0, so its regression is the plain mean."""
+    spread = scale > 0
+    return np.where(spread, x - center, 0.0) / np.where(spread, scale, 1.0)
+
+
 def _basis(x: np.ndarray, center, scale) -> np.ndarray:
     """Powers z^0 .. z^REGRESSION_DEGREE of z = (x - center)/scale along a
-    new last axis.
-
-    A node with zero spread (e.g. t = 0) gets z = 0, so its regression is the
-    plain mean.  Powers come from repeated products, which are much faster
-    than ``**`` on large batches.
-    """
-    spread = scale > 0
-    z = np.where(spread, x - center, 0.0) / np.where(spread, scale, 1.0)
+    new last axis (repeated products: much faster than ``**``)."""
+    z = _scaled(x, center, scale)
     out = np.empty((*z.shape, REGRESSION_DEGREE + 1))
     out[..., 0] = 1.0
     for i in range(1, REGRESSION_DEGREE + 1):
@@ -65,20 +66,35 @@ def _basis(x: np.ndarray, center, scale) -> np.ndarray:
     return out
 
 
+def _power_sums(y: np.ndarray, z: np.ndarray, count: int) -> np.ndarray:
+    """Sums over paths (axis -2) of y z^i, i = 0 .. count-1, along a new
+    last axis; y may stack targets on leading axes."""
+    power = y.copy()
+    out = np.empty((*y.shape[:-2], y.shape[-1], count))
+    for i in range(count):
+        if i:
+            power *= z
+        out[..., i] = power.sum(axis=-2)
+    return out
+
+
 @dataclass
 class NodeRegression:
     """Frozen cross-sectional regressions at every non-terminal node at once.
 
-    Node k regresses on centered/scaled powers of X*(t_k); the normal
-    equations of all nodes are solved in one batch.  ``coeffs`` smooths new
-    targets through the frozen equations and ``features`` evaluates the basis
-    at new state values: both are what the bump oracle needs to keep the
+    Node k regresses on powers of the centered, scaled state z = z(X*(t_k)).
+    No design array is formed: the Gram of node k is the Hankel matrix of
+    the power sums sum_p z^0 .. z^(2 degree), the right-hand sides are the
+    sums sum_p y z^i, and a prediction is a Horner polynomial in z.  The
+    normal equations of all nodes are solved in one batch.  ``coeffs`` and
+    ``predict`` take targets stacked on leading axes; ``features`` evaluates
+    the basis at new state values, which the bump oracle needs to keep the
     projection frozen.
     """
 
     center: np.ndarray   # (n_fit,)
     scale: np.ndarray    # (n_fit,)
-    design: np.ndarray   # (n_paths, n_fit, degree+1)
+    z: np.ndarray        # scaled states, (n_paths, n_fit)
     gram: np.ndarray     # (n_fit, degree+1, degree+1)
     gram_r: np.ndarray   # gram plus the trace-scaled ridge
 
@@ -89,26 +105,39 @@ class NodeRegression:
         # exactly 0 where every path is in one state: the rounding in a
         # batched std must not turn a constant node into a regression
         scale = np.where(np.ptp(X, axis=0) > 0, X.std(axis=0), 0.0)
-        design = _basis(X, center, scale)
-        gram = np.einsum("pki,pkj->kij", design, design, optimize=True)
+        z = _scaled(X, center, scale)
+        # sum_p z^0 .. z^(2 degree); entry (i, j) of the Gram is sum_p z^(i+j)
+        sums = np.insert(_power_sums(z, z, 2 * REGRESSION_DEGREE), 0,
+                         X.shape[0], axis=1)
+        deg = np.arange(REGRESSION_DEGREE + 1)
+        gram = sums[:, deg[:, None] + deg]
         lam = REGRESSION_RIDGE * np.trace(gram, axis1=1, axis2=2) \
             / (REGRESSION_DEGREE + 1)
         penalized = np.eye(REGRESSION_DEGREE + 1)
         penalized[0, 0] = 0.0  # unpenalized intercept: constants reproduce exactly
-        return cls(center, scale, design, gram, gram + lam[:, None, None] * penalized)
+        return cls(center, scale, z, gram, gram + lam[:, None, None] * penalized)
 
     def coeffs(self, y: np.ndarray) -> np.ndarray:
-        """Coefficients (n_fit, degree+1) for targets y of shape (n_paths, n_fit)."""
-        rhs = np.einsum("pkd,pk->kd", self.design, y)
+        """Coefficients (..., n_fit, degree+1) for targets y of shape
+        (..., n_paths, n_fit)."""
+        rhs = _power_sums(y, self.z, REGRESSION_DEGREE + 1)
         try:
             return np.linalg.solve(self.gram_r, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise RegressionError("normal equations singular despite ridge") from exc
 
     def predict(self, c: np.ndarray, features: np.ndarray | None = None) -> np.ndarray:
-        """Values of coefficients c on the design, or on other ``features``."""
-        f = self.design if features is None else features
-        return np.einsum("pkd,kd->pk", f, c)
+        """Values (..., n_paths, n_fit) of coefficients c (..., n_fit, degree+1)
+        at the fitted states, or on other ``features`` (one target)."""
+        if features is not None:
+            return np.einsum("pkd,kd->pk", features, c)
+        c = c[..., None, :, :]  # broadcast over paths
+        out = c[..., REGRESSION_DEGREE] * self.z
+        for i in range(REGRESSION_DEGREE - 1, -1, -1):
+            out += c[..., i]
+            if i:
+                out *= self.z
+        return out
 
     def features(self, x: np.ndarray, nodes: slice) -> np.ndarray:
         """Basis at new states x, whose columns are the given nodes."""
@@ -288,7 +317,7 @@ def estimate_q_formula(prob: AdjointProblem, est: AdjointEstimate) -> AdjointEst
         q_j(t) = E^{F_t}[ Psi(t)^2 sigma_j(t) S2(t) ],
         S2 = int_t^T f_xx Phi^2 ds + g_xx(X_T) Phi(T)^2,
 
-    estimated with the same node regressions as p.
+    estimated with the same node regressions as p, all m drivers in one call.
     """
     if prob.s2 is None:
         raise UnsupportedModelError("q formula needs f_xx and g_xx along the pair")
@@ -296,9 +325,8 @@ def estimate_q_formula(prob: AdjointProblem, est: AdjointEstimate) -> AdjointEst
     reg = est.regression
     q_raw = prob.psi.X ** 2 * prob.sigma_vals * prob.s2
     q = np.empty_like(q_raw)
-    for j in range(prob.m):
-        q[j, :, :-1] = reg.predict(reg.coeffs(q_raw[j, :, :-1]))
-        q[j, :, -1] = q_raw[j, :, -1]
+    q[..., :-1] = reg.predict(reg.coeffs(q_raw[..., :-1]))
+    q[..., -1] = q_raw[..., -1]
     est.q = q
     est.q_raw = q_raw
     return est

@@ -335,10 +335,14 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
         if not check.passed:
             exit_code = EXIT_CHECK_FAILURE
 
+    # the checks below need the control alone: the solve's per-path
+    # problem and estimate go before they build their own arrays
+    u_star = sol.u
+    del sol
     run.stage = "optimality_sweep"
     directions = random_adapted_directions(paths, cfg["n_directions"],
                                            cfg["seed"] + 99)
-    rows = optimality_sweep(spec, sol.u, directions, cfg["eps_list"], paths)
+    rows = optimality_sweep(spec, u_star, directions, cfg["eps_list"], paths)
     n_bad = sum((not r.diff_ok()) or (not r.deriv_ok()) for r in rows)
     lines.append(f"optimality_sweep: {len(rows)} rows, {n_bad} violations")
     with open(out / "optimality_sweep.csv", "w", newline="") as fh:
@@ -350,8 +354,8 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
         exit_code = EXIT_CHECK_FAILURE
 
     run.stage = "convexity"
-    conv = convexity_check(spec, sol.u,
-                           ControlProcess.from_values(sol.u.values + 0.5),
+    conv = convexity_check(spec, u_star,
+                           ControlProcess.from_values(u_star.values + 0.5),
                            paths)
     lines.append(f"convexity margin: {conv.margin_mean:.6e} "
                  f"+- {conv.margin_stderr:.2e} (holds: {conv.holds()})")

@@ -69,6 +69,55 @@ class TestNodeRegression:
         with pytest.raises(RegressionError):
             NodeRegression.fit(X).coeffs(y)
 
+    def test_holds_no_design_array(self, coupled_paths_256):
+        X = coupled_paths_256.B[:, 0, :-1]
+        reg = NodeRegression.fit(X)
+        sizes = {name: a.size for name, a in vars(reg).items()
+                 if isinstance(a, np.ndarray)}
+        assert max(sizes.values()) <= X.size, sizes
+
+    @staticmethod
+    def explicit_ridge_coeffs(X, y, ridge):
+        """Node-by-node ridge normal equations on an explicit basis design."""
+        scale = np.where(np.ptp(X, axis=0) > 0, X.std(axis=0), 0.0)
+        z = np.where(scale > 0, X - X.mean(axis=0), 0.0) \
+            / np.where(scale > 0, scale, 1.0)
+        design = np.stack([z ** i for i in range(adjoint.REGRESSION_DEGREE + 1)],
+                          axis=-1)
+        penalized = np.eye(design.shape[-1])
+        penalized[0, 0] = 0.0
+        out = []
+        for k in range(X.shape[1]):
+            d = design[:, k, :]
+            gram = d.T @ d
+            lam = ridge * np.trace(gram) / design.shape[-1]
+            out.append(np.linalg.solve(gram + lam * penalized, d.T @ y[:, k]))
+        return np.array(out), design
+
+    @pytest.mark.parametrize("ridge", [None, 0.0])
+    def test_matches_explicit_design_solve(self, coupled_paths_256, monkeypatch,
+                                           ridge):
+        # with the ridge, node 0 (t = 0) has every path in one state
+        X = coupled_paths_256.B[:, 0, :-1] if ridge is None \
+            else coupled_paths_256.B[:, 0, 1:]
+        if ridge is not None:
+            monkeypatch.setattr(adjoint, "REGRESSION_RIDGE", ridge)
+        rng = np.random.default_rng(11)
+        y = np.cos(2.0 * X) + 0.5 * X + rng.standard_normal(X.shape)
+        reg = NodeRegression.fit(X)
+        c = reg.coeffs(y)
+        ref, design = self.explicit_ridge_coeffs(X, y, adjoint.REGRESSION_RIDGE)
+        rel = np.linalg.norm(c - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert rel.max() <= 1e-12
+        fitted = np.einsum("pkd,kd->pk", design, ref)
+        assert np.abs(reg.predict(c) - fitted).max() <= 1e-12 * np.abs(fitted).max()
+        # stacked targets fit in one call, each exactly as it would alone
+        y2 = X ** 2 - X
+        stacked = reg.coeffs(np.stack([y, y2]))
+        assert np.array_equal(stacked, [c, reg.coeffs(y2)])
+        assert np.array_equal(reg.predict(stacked),
+                              [reg.predict(c), reg.predict(stacked[1])])
+
 
 class TestEstimateP:
     def test_constant_terminal_gradient(self, coupled_paths_256):

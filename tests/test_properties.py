@@ -1,4 +1,4 @@
-"""Property tests of the kernel table (need hypothesis)."""
+"""Property tests of the kernel table and the node regression (need hypothesis)."""
 
 import numpy as np
 import pytest
@@ -26,3 +26,24 @@ def test_unit_table_is_bitwise_independent_of_growth_threads_and_blocks(
         for n in sizes:
             table = fbm._unit_table(H, n)
             assert np.array_equal(table[:n + 1, :n], reference[:n + 1, :n])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_paths=st.integers(8, 60),
+       n_fit=st.integers(1, 5),
+       dist=st.sampled_from(["normal", "uniform", "exponential"]),
+       loc=st.floats(-10, 10), spread=st.floats(1e-3, 1e3),
+       coef=st.lists(st.floats(-5, 5), min_size=3, max_size=3))
+def test_regression_reproduces_per_node_quadratics(seed, n_paths, n_fit, dist,
+                                                   loc, spread, coef):
+    # at ridge 0 every per-node quadratic in X is in the span of the basis
+    from fbmcontrol import adjoint
+    rng = np.random.default_rng(seed)
+    X = loc + spread * getattr(rng, dist)(size=(n_paths, n_fit))
+    a, b, c = (w * rng.uniform(0.5, 1.5, n_fit) for w in coef)
+    y = a + b * X + c * X ** 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adjoint, "REGRESSION_RIDGE", 0.0)
+        reg = adjoint.NodeRegression.fit(X)
+        fitted = reg.predict(reg.coeffs(y))
+    assert np.abs(fitted - y).max() <= 1e-9 * (1.0 + np.abs(y).max())
