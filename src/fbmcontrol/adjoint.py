@@ -23,7 +23,8 @@ from .errors import (RegressionError, UnsupportedModelError,
                      UnsupportedRegimeError)
 from .fbm import PathSet, kernel_subdiagonal
 from .sde import ControlProcess, CoefficientModel, Linearization, StatePath, \
-    euler_mixed, evaluate_along, fundamental_phi, fundamental_psi, linearize
+    _step_blocks, euler_mixed, evaluate_along, fundamental_phi, \
+    fundamental_psi, linearize
 
 __all__ = [
     "NodeRegression",
@@ -471,29 +472,38 @@ def bsde_residual(prob: AdjointProblem, est: AdjointEstimate) -> ResidualReport:
     Psi(T) Phi(T) g_x(X_T): the imposed exact terminal value g_x(X_T) differs
     from it by the discrete product defect Phi Psi - 1, which is tracked by
     the fundamental-pair invariant, not smuggled into this residual.
+
+    The fields are built one ``sde.TIME_BLOCK`` of steps at a time; the
+    per-node statistics equal those of the whole fields bit for bit.
     """
     if est.q is None:
         raise ValueError("estimate q before evaluating the BSDE residual")
     grid = prob.paths.grid
-    dt = grid.dt
-    dbh = np.diff(prob.paths.BH, axis=-1)
+    n_paths, n = prob.paths.n_paths, grid.n_steps
+    BH, dB, lin, q = prob.paths.BH, prob.paths.dB, prob.lin, est.q
     p_term = prob.psi.X[:, -1] * prob.phi.X[:, -1] * prob.gx_T
 
-    def field(p_nodes):
-        p_eff = np.concatenate([p_nodes[:, :-1], p_term[:, None]], axis=1)
+    def field(p_nodes, k0, k1):
+        """Residuals of steps k0 <= k < k1."""
+        p_eff = np.empty((n_paths, k1 - k0 + 1))
+        p_eff[:, :-1] = p_nodes[:, k0:k1]
+        p_eff[:, -1] = p_term if k1 == n else p_nodes[:, k1]
+        p_k = p_nodes[:, k0:k1]
         r = p_eff[:, 1:] - p_eff[:, :-1] \
-            + (prob.lin.bx[:, :-1] * p_nodes[:, :-1]
-               + (prob.lin.sx[:, :, :-1] * est.q[:, :, :-1]).sum(axis=0)
-               + prob.fx[:, :-1]) * dt
+            + (lin.bx[:, k0:k1] * p_k
+               + (lin.sx[:, :, k0:k1] * q[:, :, k0:k1]).sum(axis=0)
+               + prob.fx[:, k0:k1]) * grid.dt
         for j in range(prob.m):
-            r = r + prob.lin.gx[j, :, :-1] * p_nodes[:, :-1] * dbh[:, j, :] \
-                  - est.q[j, :, :-1] * prob.paths.dB[:, j, :]
+            dbh = BH[:, j, k0 + 1:k1 + 1] - BH[:, j, k0:k1]
+            r = r + lin.gx[j, :, k0:k1] * p_k * dbh - q[j, :, k0:k1] * dB[:, j, k0:k1]
         return r
 
-    r_hat = field(est.p)
-    r_raw = field(est.p_raw)
-    n = r_hat.shape[0]
-    return ResidualReport(
-        t=grid.nodes[:-1], mean=r_hat.mean(axis=0),
-        stderr=r_raw.std(axis=0, ddof=1) / np.sqrt(n),
-        mean_sq=(r_hat ** 2).mean(axis=0))
+    mean, stderr, mean_sq = np.empty(n), np.empty(n), np.empty(n)
+    for k0, k1 in _step_blocks(n):
+        r_hat = field(est.p, k0, k1)
+        mean[k0:k1] = r_hat.mean(axis=0)
+        mean_sq[k0:k1] = (r_hat ** 2).mean(axis=0)
+        stderr[k0:k1] = field(est.p_raw, k0, k1).std(axis=0, ddof=1)
+    stderr /= np.sqrt(n_paths)
+    return ResidualReport(t=grid.nodes[:-1], mean=mean, stderr=stderr,
+                          mean_sq=mean_sq)

@@ -643,9 +643,13 @@ def fbm_from_kernel(bm: PathSet, h) -> PathSet:
         raise GridMismatchError("kernel generator needs a path set with increments")
     n = int(bm.grid.n_steps)
     # contract against the held unit-step block, then scale the sums by
-    # dt^{H-1/2}: no scaled copy of the (n+1) x n weights per call
-    bh = np.einsum("ki,pdi->pdk", _unit_table(hurst.value, n)[:n + 1, :n],
-                   bm.dB, optimize=True)
+    # dt^{H-1/2}: no scaled copy of the (n+1) x n weights per call.  One
+    # matmul writes straight into B^H, with no scratch of B^H's size; it is
+    # bitwise the einsum it replaced, while np.dot is not on the strided
+    # block of a table grown past n
+    bh = np.empty((bm.n_paths, bm.m, n + 1))
+    np.matmul(bm.dB.reshape(-1, n), _unit_table(hurst.value, n)[:n + 1, :n].T,
+              out=bh.reshape(-1, n + 1))
     bh *= bm.grid.dt ** (hurst.value - 0.5)
     bh[..., 0] = 0.0
     return bm.with_bh(hurst, bh)
@@ -680,7 +684,8 @@ def coarsen(paths: PathSet, factor: int) -> PathSet:
 
     Brownian increments are aggregated, and B is their cumulative sum; node
     values of B^H are the fine values at the surviving nodes, which is the
-    coupling a strong refinement study needs.
+    coupling a strong refinement study needs.  B^H is a read-only strided
+    view of the fine B^H, not a copy.
     """
     if factor < 1 or paths.grid.n_steps % factor:
         raise GridMismatchError(
@@ -690,5 +695,5 @@ def coarsen(paths: PathSet, factor: int) -> PathSet:
     grid = TimeGrid(paths.grid.horizon, paths.grid.n_steps // factor)
     dB = paths.dB.reshape(paths.n_paths, paths.m, grid.n_steps, factor).sum(-1) \
         if paths.dB is not None else None
-    BH = paths.BH[..., ::factor].copy() if paths.BH is not None else None
+    BH = paths.BH[..., ::factor] if paths.BH is not None else None
     return PathSet(grid, paths.m, paths.n_paths, paths.seed, paths.hurst, dB, BH)

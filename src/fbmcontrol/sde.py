@@ -129,7 +129,7 @@ def _blowup_guard(x: np.ndarray, step: int) -> None:
     ``x`` holds one step, shape (n_paths,), or the consecutive steps step,
     step + 1, ... along its last axis, shape (n_paths, n).
     """
-    if np.abs(x).max() <= BLOWUP_LIMIT:  # False for NaN
+    if x.max() <= BLOWUP_LIMIT and x.min() >= -BLOWUP_LIMIT:  # False for NaN
         return
     bad = ~(np.abs(x) <= BLOWUP_LIMIT)
     if x.ndim == 2:
@@ -141,10 +141,17 @@ def _blowup_guard(x: np.ndarray, step: int) -> None:
 
 # paths per block when the increments are copied to time-major order
 INCREMENT_BLOCK = 64
+# steps per block of the inputs a step loop holds time-major, and of the
+# fields a per-step reduction builds
+TIME_BLOCK = 64
+# paths per chunk of the fundamental pair's step-factor and noise scratch
+ROW_CHUNK = 64
 
 
-def _time_major_increments(paths: PathSet) -> tuple[np.ndarray, np.ndarray]:
-    """dB and the increments of B^H, time-major: shape (n_steps, m, n_paths).
+def _time_major_increments(paths: PathSet, k0: int = 0,
+                           k1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """dB and the increments of B^H of steps k0 <= k < k1 (default: every
+    step), time-major: shape (k1 - k0, m, n_paths).
 
     Copied INCREMENT_BLOCK paths at a time, which is faster than a
     whole-array transpose (a size-1 driver axis over a power-of-two step
@@ -153,14 +160,26 @@ def _time_major_increments(paths: PathSet) -> tuple[np.ndarray, np.ndarray]:
     not held with the paths, which would raise peak memory.
     """
     n_paths, m, n_steps = paths.dB.shape
-    db = np.empty((n_steps, m, n_paths))
-    dbh = np.empty((n_steps, m, n_paths))
+    k1 = n_steps if k1 is None else k1
+    db = np.empty((k1 - k0, m, n_paths))
+    dbh = np.empty((k1 - k0, m, n_paths))
     for p0 in range(0, n_paths, INCREMENT_BLOCK):
         p1 = min(p0 + INCREMENT_BLOCK, n_paths)
-        db[:, :, p0:p1] = paths.dB[p0:p1].transpose(2, 1, 0)
-        bt = paths.BH[p0:p1].transpose(2, 1, 0)
+        db[:, :, p0:p1] = paths.dB[p0:p1, :, k0:k1].transpose(2, 1, 0)
+        bt = paths.BH[p0:p1, :, k0:k1 + 1].transpose(2, 1, 0)
         np.subtract(bt[1:], bt[:-1], out=dbh[:, :, p0:p1])
     return db, dbh
+
+
+def _step_blocks(n_steps: int):
+    """Steps 0..n_steps-1 as consecutive (k0, k1) blocks of TIME_BLOCK, a
+    1-step tail joined to the block before it: numpy sums a one-column
+    block over paths pairwise, not in the path order of a wider block, so a
+    lone column would change the bits of a per-step reduction."""
+    starts = list(range(0, n_steps, TIME_BLOCK))
+    if len(starts) > 1 and n_steps - starts[-1] < 2:
+        starts.pop()
+    return zip(starts, starts[1:] + [n_steps])
 
 
 def euler_mixed(model: CoefficientModel, u: ControlProcess, x0: float,
@@ -170,24 +189,30 @@ def euler_mixed(model: CoefficientModel, u: ControlProcess, x0: float,
     X_{k+1} = X_k + b dt + sum_j sigma_j dB_j + sum_j gamma_j dB^H_j with all
     coefficients at (t_k, X_k, u_k).  Any |X| beyond ``BLOWUP_LIMIT`` aborts
     with the offending path and step rather than contaminating batch means.
+    The increments are copied time-major one TIME_BLOCK of steps at a time.
     """
     if paths.BH is None:
         raise GridMismatchError("euler_mixed needs coupled B and B^H paths")
     grid = paths.grid
     t = grid.nodes
     dt = grid.dt
-    db, dbh = _time_major_increments(paths)
+    # the control is copied whole: block copies of it, interleaved with the
+    # increment blocks, fragmented the heap and raised the LQ solve's peak
+    # resident size by 4 MiB at 2 000 paths
     uv = _time_major(np.broadcast_to(u.values, (paths.n_paths, grid.n_nodes)))
     X = np.empty((grid.n_nodes, paths.n_paths))
     X[0] = x0
-    for k in range(grid.n_steps):
-        xk, uk = X[k], uv[k]
-        inc = model.b(t[k], xk, uk) * dt
-        for j in range(model.m):
-            inc = inc + model.sigma[j](t[k], xk, uk) * db[k, j] \
-                      + model.gamma[j](t[k], xk, uk) * dbh[k, j]
-        np.add(xk, inc, out=X[k + 1])
-        _blowup_guard(X[k + 1], k + 1)
+    for k0, k1 in _step_blocks(grid.n_steps):
+        db, dbh = _time_major_increments(paths, k0, k1)
+        for i, k in enumerate(range(k0, k1)):
+            xk, uk = X[k], uv[k]
+            inc = model.b(t[k], xk, uk) * dt
+            for j in range(model.m):
+                inc = inc + model.sigma[j](t[k], xk, uk) * db[i, j] \
+                          + model.gamma[j](t[k], xk, uk) * dbh[i, j]
+            np.add(xk, inc, out=X[k + 1])
+            _blowup_guard(X[k + 1], k + 1)
+    del db, dbh, uv  # released before the path-major copy
     return StatePath(grid, np.ascontiguousarray(X.T))
 
 
@@ -243,30 +268,40 @@ def linearize(model: CoefficientModel, x: StatePath, u: ControlProcess) -> Linea
 def _homogeneous(lin: Linearization, paths: PathSet, sign: float) -> StatePath:
     """Y_{k+1} = Y_k fac_k from Y_0 = 1, as one cumulative product over time.
 
-    The step factors of all steps are built first, with the operations of
-    the step recursion in its order, so the product is bitwise the
-    recursion's; the blow-up guard then checks the finished product.
+    The step factors are built in Y itself, ROW_CHUNK paths at a time with
+    that chunk's dB^H and noise in fixed scratch, with the operations of the
+    step recursion in its order, so the product is bitwise the recursion's;
+    the blow-up guard then checks the finished product.
     """
     grid = paths.grid
-    dbh = np.diff(paths.BH, axis=-1)
-    if sign > 0:
-        fac = lin.bx[:, :-1] * grid.dt
-    else:
-        fac = (lin.sx[:, :, :-1] ** 2).sum(axis=0)
-        fac -= lin.bx[:, :-1]
-        fac *= grid.dt
-    fac += 1.0
-    for j in range(lin.m):
-        noise = lin.sx[j, :, :-1] * paths.dB[:, j]
-        noise += lin.gx[j, :, :-1] * dbh[:, j]
-        if sign > 0:
-            fac += noise
-        else:
-            fac -= noise
-    Y = np.empty((paths.n_paths, grid.n_nodes))
+    n_paths, n = paths.n_paths, grid.n_steps
+    Y = np.empty((n_paths, grid.n_nodes))
     Y[:, 0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.cumprod(fac, axis=1, out=Y[:, 1:])
+    noise = np.empty((min(ROW_CHUNK, n_paths), n))
+    dbh = np.empty_like(noise)
+    for p0 in range(0, n_paths, ROW_CHUNK):
+        rows = slice(p0, min(p0 + ROW_CHUNK, n_paths))
+        fac = Y[rows, 1:]
+        if sign > 0:
+            np.multiply(lin.bx[rows, :-1], grid.dt, out=fac)
+        else:
+            np.sum(lin.sx[:, rows, :-1] ** 2, axis=0, out=fac)
+            fac -= lin.bx[rows, :-1]
+            fac *= grid.dt
+        fac += 1.0
+        nz, d = noise[:len(fac)], dbh[:len(fac)]
+        for j in range(lin.m):
+            np.multiply(lin.sx[j, rows, :-1], paths.dB[rows, j], out=nz)
+            bh = paths.BH[rows, j]
+            np.subtract(bh[:, 1:], bh[:, :-1], out=d)
+            d *= lin.gx[j, rows, :-1]
+            nz += d
+            if sign > 0:
+                fac += nz
+            else:
+                fac -= nz
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.cumprod(fac, axis=1, out=fac)
     _blowup_guard(Y[:, 1:], 1)
     return StatePath(grid, Y)
 
@@ -294,21 +329,27 @@ def _time_major(a: np.ndarray) -> np.ndarray:
 
 
 def variation_direct(lin: Linearization, v: np.ndarray, paths: PathSet) -> StatePath:
-    """Variation process by direct Euler integration of its linear SDE."""
+    """Variation process by direct Euler integration of its linear SDE.
+
+    Like ``euler_mixed``, it holds the increments, the partials and v
+    time-major one TIME_BLOCK of steps at a time.
+    """
     grid = paths.grid
     dt = grid.dt
-    db, dbh = _time_major_increments(paths)
-    bx, bu, sx, su, gx, gu = (_time_major(a) for a in
-                              (lin.bx, lin.bu, lin.sx, lin.su, lin.gx, lin.gu))
-    vt = np.ascontiguousarray(v.T)
     y = np.zeros((grid.n_nodes, paths.n_paths))
-    for k in range(grid.n_steps):
-        yk, vk = y[k], vt[k]
-        inc = (bx[k] * yk + bu[k] * vk) * dt
-        for j in range(lin.m):
-            inc = inc + (sx[k, j] * yk + su[k, j] * vk) * db[k, j] \
-                      + (gx[k, j] * yk + gu[k, j] * vk) * dbh[k, j]
-        np.add(yk, inc, out=y[k + 1])
+    for k0, k1 in _step_blocks(grid.n_steps):
+        db, dbh = _time_major_increments(paths, k0, k1)
+        bx, bu, sx, su, gx, gu = (_time_major(a[..., k0:k1]) for a in
+                                  (lin.bx, lin.bu, lin.sx, lin.su, lin.gx, lin.gu))
+        vt = np.ascontiguousarray(v[:, k0:k1].T)
+        for i, k in enumerate(range(k0, k1)):
+            yk, vk = y[k], vt[i]
+            inc = (bx[i] * yk + bu[i] * vk) * dt
+            for j in range(lin.m):
+                inc = inc + (sx[i, j] * yk + su[i, j] * vk) * db[i, j] \
+                          + (gx[i, j] * yk + gu[i, j] * vk) * dbh[i, j]
+            np.add(yk, inc, out=y[k + 1])
+    del db, dbh, bx, bu, sx, su, gx, gu, vt  # released before the path-major copy
     return StatePath(grid, np.ascontiguousarray(y.T))
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fbmcontrol import adjoint
+from fbmcontrol import adjoint, sde
 from fbmcontrol.adjoint import (NodeRegression, adjoint_problem,
                                 bsde_residual, estimate_p, estimate_q_bump,
                                 estimate_q_formula, stationarity_residual)
@@ -338,6 +338,39 @@ class TestResiduals:
         rep = bsde_residual(prob, est)
         assert np.allclose(rep.mean, 0.0, atol=1e-12)
         assert np.allclose(rep.mean_sq, 0.0, atol=1e-20)
+
+    @staticmethod
+    def whole_field_bsde(prob, est):
+        """Per-node statistics of the two residual fields built whole."""
+        dbh = np.diff(prob.paths.BH, axis=-1)
+        p_term = prob.psi.X[:, -1] * prob.phi.X[:, -1] * prob.gx_T
+
+        def field(p_nodes):
+            p_eff = np.concatenate([p_nodes[:, :-1], p_term[:, None]], axis=1)
+            r = p_eff[:, 1:] - p_eff[:, :-1] \
+                + (prob.lin.bx[:, :-1] * p_nodes[:, :-1]
+                   + (prob.lin.sx[:, :, :-1] * est.q[:, :, :-1]).sum(axis=0)
+                   + prob.fx[:, :-1]) * prob.paths.grid.dt
+            for j in range(prob.m):
+                r = r + prob.lin.gx[j, :, :-1] * p_nodes[:, :-1] * dbh[:, j, :] \
+                      - est.q[j, :, :-1] * prob.paths.dB[:, j, :]
+            return r
+
+        r_hat, r_raw = field(est.p), field(est.p_raw)
+        return (r_hat.mean(axis=0),
+                r_raw.std(axis=0, ddof=1) / np.sqrt(r_hat.shape[0]),
+                (r_hat ** 2).mean(axis=0))
+
+    # 256 steps: widths 5, 15 and 255 leave a 1-step tail to fold
+    @pytest.mark.parametrize("width", [2, 5, 15, 64, 100, 255, 256, 1000])
+    def test_bsde_step_blocks_match_whole_fields_bitwise(self, width, lq_problem,
+                                                         monkeypatch):
+        monkeypatch.setattr(sde, "TIME_BLOCK", width)
+        _, prob, est = lq_problem
+        rep = bsde_residual(prob, est)
+        for got, ref in zip((rep.mean, rep.stderr, rep.mean_sq),
+                            self.whole_field_bsde(prob, est)):
+            assert np.array_equal(got, ref)
 
     def test_bsde_terminal_identity(self, lq_problem):
         _, prob, est = lq_problem

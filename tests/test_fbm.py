@@ -239,6 +239,24 @@ class TestKernelGenerator:
             se = prod.std(ddof=1) / np.sqrt(ps.n_paths)
             assert abs(prod.mean() - c_true) < 4 * se + 0.02 * c_true
 
+    @pytest.mark.parametrize("grown", [False, True])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n_paths", [1, 7, 250])
+    def test_matches_einsum_reference_bitwise(self, n_paths, m, grown,
+                                              monkeypatch):
+        # grown: the table holds more rows than the grid, so its block is
+        # strided, where np.dot would move the bits at small path counts
+        monkeypatch.setattr(fbm, "_unit_tables", {})
+        n = 64
+        if grown:
+            fbm._unit_table(0.75, 4 * n)
+        bm = generate_bm(TimeGrid(1.0, n), m, n_paths, seed=17)
+        ref = np.einsum("ki,pdi->pdk", fbm._unit_table(0.75, n)[:n + 1, :n],
+                        bm.dB, optimize=True)
+        ref *= bm.grid.dt ** 0.25
+        ref[..., 0] = 0.0
+        assert np.array_equal(fbm_from_kernel(bm, 0.75).BH, ref)
+
     def test_requires_increments(self):
         grid = TimeGrid(1.0, 16)
         ch = fbm_from_cholesky(grid, 0.75, 1, 10, seed=0)
@@ -547,6 +565,14 @@ class TestPathSetPlumbing:
         assert c.grid.n_steps == 512
         assert np.allclose(c.dB.sum(-1), coupled_paths_fine.dB.sum(-1))
         assert np.array_equal(c.BH[..., -1], coupled_paths_fine.BH[..., -1])
+
+    def test_coarsened_bh_is_a_read_only_view(self, coupled_paths_fine):
+        c = coarsen(coupled_paths_fine, 4)
+        assert np.shares_memory(c.BH, coupled_paths_fine.BH)
+        assert np.array_equal(c.BH, coupled_paths_fine.BH[..., ::4])
+        assert not c.BH.flags.writeable
+        with pytest.raises(ValueError):
+            c.BH[0, 0, 1] = 1.0
 
     def test_b_derived_bitwise_from_increments(self, coupled_paths_256):
         ps = coupled_paths_256

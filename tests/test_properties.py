@@ -1,4 +1,5 @@
-"""Property tests of the kernel table and the node regression (need hypothesis)."""
+"""Property tests of the kernel table, the blocked step recursions and the
+node regression (need hypothesis)."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from fbmcontrol import fbm  # noqa: E402
+from fbmcontrol.sde import ROW_CHUNK, TIME_BLOCK  # noqa: E402
 
 
 @settings(max_examples=25, deadline=None)
@@ -47,3 +49,34 @@ def test_regression_reproduces_per_node_quadratics(seed, n_paths, n_fit, dist,
         reg = adjoint.NodeRegression.fit(X)
         fitted = reg.predict(reg.coeffs(y))
     assert np.abs(fitted - y).max() <= 1e-9 * (1.0 + np.abs(y).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 2),
+       n_paths=st.integers(1, 3 * ROW_CHUNK + 5),
+       n_steps=st.integers(1, 2 * TIME_BLOCK + 5))
+def test_blocked_recursions_match_step_recursions_bitwise(seed, m, n_paths,
+                                                          n_steps):
+    # time blocks (Euler, variation) and row chunks (the fundamental pair)
+    # at any path and step count give the bits of the step-by-step loops
+    from test_sde import (euler_reference, homogeneous_reference,
+                          variation_reference)
+    from fbmcontrol.lq import LqSpec, lq_model
+    from fbmcontrol.sde import (ControlProcess, euler_mixed, fundamental_phi,
+                                fundamental_psi, linearize, variation_direct)
+    from fbmcontrol.verify import nonlinear_lemma_model
+    model = nonlinear_lemma_model() if m == 1 else lq_model(
+        LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3), 2)
+    paths = fbm.fbm_from_kernel(fbm.generate_bm(fbm.TimeGrid(1.0, n_steps), m,
+                                                n_paths, seed), 0.75)
+    t = paths.grid.nodes
+    u = ControlProcess.from_values(0.1 * np.sin(paths.B[:, 0] + t))
+    x = euler_mixed(model, u, 0.5, paths)
+    assert np.array_equal(x.X, euler_reference(model, u, 0.5, paths))
+    lin = linearize(model, x, u)
+    for fn, sign in ((fundamental_phi, 1.0), (fundamental_psi, -1.0)):
+        ref, stop = homogeneous_reference(lin, paths, sign)
+        assert stop is None and np.array_equal(fn(lin, paths).X, ref)
+    v = np.cos(t) + 0.1 * paths.B[:, m - 1]
+    assert np.array_equal(variation_direct(lin, v, paths).X,
+                          variation_reference(lin, v, paths))

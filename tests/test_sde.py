@@ -1,18 +1,21 @@
 """Mixed Euler integration, fundamental pair, variation process, expansions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fbmcontrol.errors import BlowupError, DomainError, GridMismatchError
 from fbmcontrol.fbm import TimeGrid, coarsen, fbm_from_kernel, generate_bm
 from fbmcontrol.lq import LqSpec, lq_model
-from fbmcontrol.sde import (BLOWUP_LIMIT, INCREMENT_BLOCK, CoefficientModel,
+from fbmcontrol.sde import (BLOWUP_LIMIT, INCREMENT_BLOCK, ROW_CHUNK,
+                            TIME_BLOCK, CoefficientModel,
                             ControlProcess, _time_major_increments,
                             alpha_norm_terminal, default_alpha, euler_mixed,
                             evaluate_along, fundamental_phi, fundamental_psi,
                             lemma1_experiment, linearize, variation_direct,
                             variation_explicit)
-from fbmcontrol.verify import nonlinear_lemma_model
+from fbmcontrol.verify import nonlinear_lemma_model, phi_psi_refinement
 
 
 def zero(t, x, u):
@@ -46,6 +49,24 @@ def euler_maruyama_reference(b, s, u, x0, paths):
         inc = b(t[k], X[:, k], uk) * grid.dt
         inc = inc + s(t[k], X[:, k], uk) * paths.dB[:, 0, k]
         X[:, k + 1] = X[:, k] + inc
+    return X
+
+
+def euler_reference(model, u, x0, paths):
+    """Step-by-step mixed Euler recursion on path-major arrays."""
+    grid = paths.grid
+    dbh = np.diff(paths.BH, axis=-1)
+    X = np.empty((paths.n_paths, grid.n_nodes))
+    X[:, 0] = x0
+    t = grid.nodes
+    uv = np.broadcast_to(u.values, X.shape)
+    for k in range(grid.n_steps):
+        xk, uk = X[:, k], uv[:, k]
+        inc = model.b(t[k], xk, uk) * grid.dt
+        for j in range(model.m):
+            inc = inc + model.sigma[j](t[k], xk, uk) * paths.dB[:, j, k] \
+                      + model.gamma[j](t[k], xk, uk) * dbh[:, j, k]
+        X[:, k + 1] = xk + inc
     return X
 
 
@@ -164,6 +185,34 @@ def test_time_major_increments_match_whole_array_transpose(m, n_paths, n_steps):
         np.diff(paths.BH, axis=-1).transpose(2, 1, 0)))
 
 
+def block_fixture(name, n_steps, n_paths=300):
+    """A model, a path-dependent control and v, and paths on n_steps steps:
+    the nonlinear model (per-path partials) or the LQ model on two drivers."""
+    if name == "nonlinear":
+        model, m = nonlinear_lemma_model(), 1
+    else:
+        model, m = lq_model(LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3,
+                                   N=0.3), 2), 2
+    paths = fbm_from_kernel(generate_bm(TimeGrid(1.0, n_steps), m, n_paths,
+                                        seed=n_steps), 0.75)
+    t = paths.grid.nodes
+    u = ControlProcess.from_values(0.1 + 0.05 * np.sin(paths.B[:, 0] + t))
+    v = np.cos(2 * t) + 0.1 * paths.B[:, m - 1]
+    return model, u, v, paths
+
+
+@pytest.mark.parametrize("name", ["nonlinear", "lq_two_drivers"])
+@pytest.mark.parametrize("n_steps", [1, TIME_BLOCK, TIME_BLOCK + 36])
+def test_time_blocks_match_step_recursions_bitwise(name, n_steps):
+    # below, equal to and not a multiple of the time block
+    model, u, v, paths = block_fixture(name, n_steps)
+    x = euler_mixed(model, u, 0.5, paths)
+    assert np.array_equal(x.X, euler_reference(model, u, 0.5, paths))
+    lin = linearize(model, x, u)
+    assert np.array_equal(variation_direct(lin, v, paths).X,
+                          variation_reference(lin, v, paths))
+
+
 class TestEulerMixed:
     def test_all_zero_coefficients(self, coupled_paths_256):
         x = euler_mixed(make_model(), ControlProcess.constant(0.0), 1.5,
@@ -249,7 +298,8 @@ class TestFundamentalPair:
         lin = linearize(model, x, u0)
         return fundamental_phi(lin, paths), fundamental_psi(lin, paths)
 
-    @pytest.mark.parametrize("name", ["lq", "lq_two_drivers", "nonlinear"])
+    @pytest.mark.parametrize("name", ["lq", "lq_two_drivers", "nonlinear",
+                                      "nonlinear_ragged"])
     def test_cumulative_product_matches_step_recursion(self, name, coupled_paths_256):
         spec = LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3)
         if name == "lq":
@@ -257,6 +307,10 @@ class TestFundamentalPair:
         elif name == "lq_two_drivers":
             model = lq_model(spec, 2)
             paths = fbm_from_kernel(generate_bm(TimeGrid(1.0, 128), 2, 500, seed=9), 0.75)
+        elif name == "nonlinear_ragged":  # a last row chunk of 5 paths
+            model = nonlinear_lemma_model()
+            paths = fbm_from_kernel(generate_bm(TimeGrid(1.0, 100), 1,
+                                                3 * ROW_CHUNK + 5, seed=9), 0.75)
         else:
             model, paths = nonlinear_lemma_model(), coupled_paths_256
         u = ControlProcess.constant(0.1)
@@ -332,6 +386,39 @@ class TestFundamentalPair:
             phi, psi = self._pair(model, p)
             errs.append(np.abs(phi.X * psi.X - 1).max())
         assert errs[0] > errs[1] > errs[2]
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that numpy and Python allocate during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    @pytest.mark.parametrize("fn", [fundamental_phi, fundamental_psi])
+    def test_fundamental_pair_holds_its_output_and_row_chunk_scratch(self, fn):
+        # scratch: a chunk of noise, one of dB^H and psi's squared sigma_x;
+        # the margin allows one more chunk
+        spec = LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3)
+        model, u = lq_model(spec), ControlProcess.constant(0.1)
+        paths = fbm_from_kernel(generate_bm(TimeGrid(1.0, 512), 1, 1000,
+                                            seed=3), 0.75)
+        lin = linearize(model, euler_mixed(model, u, 0.5, paths), u)
+        output = paths.n_paths * paths.grid.n_nodes * 8
+        chunk = ROW_CHUNK * paths.grid.n_steps * 8
+        assert traced_peak(fn, lin, paths) <= output + 4 * chunk
+
+    def test_phi_psi_refinement_holds_three_path_arrays(self):
+        # at the finest level Euler's state and its path-major copy, then
+        # Phi and Psi, plus the coarse levels' dB and the blocks
+        fine = fbm_from_kernel(generate_bm(TimeGrid(1.0, 2048), 1, 500,
+                                           seed=4), 0.95)
+        path_array = fine.n_paths * fine.grid.n_nodes * 8
+        assert traced_peak(phi_psi_refinement, fine) <= 3 * path_array
 
 
 class TestVariation:
