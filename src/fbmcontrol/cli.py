@@ -3,7 +3,8 @@
 Configs are flat JSON files; coefficient entries are numbers (constants) or
 named catalog functions, e.g. {"kind": "sin", "a": 0.5, "b": 0.2, "omega": 1.0}.
 Exit codes: 0 pass, 1 check failure or numerical failure (blow-up, failed
-regression or factorization, arithmetic fault), 2 usage, 3 non-convergence.
+regression or factorization, arithmetic fault), 2 usage or an output that
+cannot be written, 3 non-convergence.
 """
 
 from __future__ import annotations
@@ -237,7 +238,7 @@ def cmd_paths(cfg: dict, out: Path, workers: int, run: Progress) -> int:
     run.summary = out / "paths_summary.txt"
     run.header = _report_header(cfg)
     paths = generate_paths(cfg, workers)
-    paths.to_csv(out / "paths.csv")
+    paths.to_csv(out / "paths.csv", workers)
     # covariance validation on the generated bundle
     inc_var = float(paths.dB.var(ddof=1)) * cfg["n_steps"] / cfg["T"]
     z_inc = abs(inc_var - 1.0) / np.sqrt(2.0 / (paths.n_paths * cfg["n_steps"]))
@@ -399,14 +400,14 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if getattr(args, "workers", 1) < 1:
         print("workers must be >= 1", file=sys.stderr)
         return EXIT_USAGE
 
+    out = Path(args.out)
     run = Progress()
     try:
+        out.mkdir(parents=True, exist_ok=True)
         if args.command == "paths":
             return cmd_paths(cfg, out, args.workers, run)
         if args.command == "verify":
@@ -420,6 +421,10 @@ def main(argv=None) -> int:
         if run.summary is not None:
             _write_summary(run.summary, run.header, [*run.lines, failure])
         return EXIT_CHECK_FAILURE
+    except OSError as exc:  # an output that cannot be made or written
+        print(f"{args.command} FAILED in stage {run.stage}: cannot write "
+              f"to {out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_USAGE
 
 

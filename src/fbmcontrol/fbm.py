@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -135,20 +136,23 @@ class PathSet:
         return PathSet(self.grid, self.m, self.n_paths, self.seed, hurst,
                        self.dB, bh)
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path, workers: int = 1) -> None:
         """Write rows `path,dim,node,t,B,BH` for every node.
 
         Each (path, dim) block is one `%` on a template of its n + 1 rows:
         the `path,dim,` prefix joined to the rows' `node,t,%.17g,%.17g`.
+        The paths are cut into the blocks of ``_path_blocks``, which
+        ``_write_blocks`` formats on up to ``workers`` processes; the bytes
+        are the same for every worker count.
         """
         rows = [f"{k},{t:.17g},%.17g,%.17g\n"
                 for k, t in enumerate(self.grid.nodes.tolist())]
         nan_row = [float("nan")] * len(rows)
-        values = nan_row * 2  # B and BH, interleaved
         B, BH = self.B, self.BH
-        with open(path, "w", newline="") as fh:
-            fh.write("path,dim,node,t,B,BH\n")
-            for p in range(self.n_paths):
+
+        def write(fh, block: range) -> None:
+            values = nan_row * 2  # B and BH, interleaved
+            for p in block:
                 for d in range(self.m):
                     if B is not None:
                         values[0::2] = B[p, d].tolist()
@@ -156,6 +160,86 @@ class PathSet:
                         values[1::2] = BH[p, d].tolist()
                     head = f"{p},{d},"
                     fh.write((head + head.join(rows)) % tuple(values))
+
+        with open(path, "w", newline="") as fh:
+            fh.write("path,dim,node,t,B,BH\n")
+            _write_blocks(fh, _path_blocks(self.n_paths, workers), write)
+
+
+def _path_blocks(n_paths: int, workers: int) -> list[range]:
+    """Contiguous index blocks of the paths: one per worker, but at most one
+    per path and one per available CPU, so no block is empty."""
+    k = max(1, min(workers, n_paths, _kernel_threads()))
+    return [range(i * n_paths // k, (i + 1) * n_paths // k) for i in range(k)]
+
+
+def _write_blocks(fh, blocks: list[range], write) -> None:
+    """``write(f, block)`` for every block, into ``fh`` in block order.
+
+    This process writes the first block straight into ``fh``.  Every other
+    block is written by a forked child into its own part file, opened and
+    unlinked before the fork, so no part outlives the processes holding it.
+    The children are reaped in order; then each part is appended by
+    ``os.sendfile``, in the kernel, with no copy of it in this process.  A
+    failed child raises ``ChildProcessError`` once every child is reaped.
+
+    Call it only when every thread pool of the process has been joined: the
+    threads left are OpenBLAS's idle workers.  A child only formats floats
+    into its own file, so it takes no lock those threads could hold, and it
+    leaves through ``os._exit``: it runs no atexit handler and flushes no
+    buffer it inherited.  Python 3.12 and later warn on every fork in a
+    process with more than one thread, native ones included; that warning
+    is ignored around the fork call alone, so the caller sees no warning.
+    """
+    for stream in (sys.stdout, sys.stderr, fh):
+        stream.flush()
+    parts, pids = [], []  # part fds; pids of the children forked so far
+    try:
+        try:
+            for i, block in enumerate(blocks[1:], 1):
+                name = f"{fh.name}.{os.getpid()}.{i}.part"
+                parts.append(os.open(name, os.O_RDWR | os.O_CREAT | os.O_EXCL,
+                                     0o600))
+                os.unlink(name)
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", r".*use of fork\(\)",
+                                            DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    _write_part(parts[-1], block, write)
+                pids.append(pid)
+            write(fh, blocks[0])
+            fh.flush()
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                     for pid in pids]
+        for block, code in zip(blocks[1:], codes):
+            if code:
+                why = os.strerror(code) if 0 < code < 255 else f"exit status {code}"
+                raise ChildProcessError(f"writing paths {block.start}.."
+                                        f"{block.stop - 1} of {fh.name}: {why}")
+        for fd in parts:
+            # the part is unlinked and its writer gone: its size is final
+            offset, size = 0, os.fstat(fd).st_size
+            while offset < size:
+                offset += os.sendfile(fh.fileno(), fd, offset, size - offset)
+    finally:
+        for fd in parts:
+            os.close(fd)
+
+
+def _write_part(fd: int, block: range, write) -> None:
+    """The whole life of a forked writer: ``block`` into the part file
+    ``fd``, then ``os._exit`` with 0, a failed write's errno, or 255."""
+    code = 255
+    try:
+        with open(fd, "w", newline="") as part:
+            write(part, block)
+        code = 0
+    except OSError as exc:
+        code = exc.errno if exc.errno and exc.errno < 255 else 255
+    finally:
+        os._exit(code)
 
 
 _LOG_HALF_FLOAT_MAX = math.log(sys.float_info.max / 2)
@@ -609,10 +693,10 @@ def generate_bm(grid: TimeGrid, m: int, n_paths: int, seed: int,
     """Independent Brownian paths from per-(path, dim) keyed substreams.
 
     Increments are N(0, dt) per path/dimension/step; the result is a pure
-    function of (seed, grid, m, n_paths).  The paths are cut into ``workers``
-    index-defined blocks, each drawn from its own per-path substreams, so the
-    assembled array is the same for every worker count; the blocks run on at
-    most one thread per available CPU.
+    function of (seed, grid, m, n_paths).  The paths are cut into the
+    index-defined blocks of ``_path_blocks``, one thread each, and every block
+    is drawn from its own per-path substreams, so the assembled array is the
+    same for every worker count.
     """
     if m < 1 or n_paths < 1:
         raise ValueError("m and n_paths must be >= 1")
@@ -620,13 +704,12 @@ def generate_bm(grid: TimeGrid, m: int, n_paths: int, seed: int,
     def draw(block: range) -> np.ndarray:
         return SubstreamSampler(seed).normal_block(block, m, grid.n_steps)
 
-    if workers <= 1:
-        dB = draw(range(n_paths))
+    blocks = _path_blocks(n_paths, workers)
+    if len(blocks) == 1:
+        dB = draw(blocks[0])
     else:
-        bounds = np.linspace(0, n_paths, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=min(workers, _kernel_threads())) as pool:
-            dB = np.concatenate(list(pool.map(
-                draw, [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])])))
+        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+            dB = np.concatenate(list(pool.map(draw, blocks)))
     dB *= np.sqrt(grid.dt)
     return PathSet(grid, m, n_paths, int(seed), None, dB, None)
 

@@ -1,11 +1,14 @@
 """CLI wiring: config schema, subcommands, exit codes, determinism."""
 
+import errno
 import json
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from fbmcontrol import fbm
 from fbmcontrol.cli import (EXIT_CHECK_FAILURE, EXIT_NO_CONVERGENCE, EXIT_OK,
                             EXIT_USAGE, ConfigError, config_hash, generate_paths,
                             load_config, lq_spec_from_config, main)
@@ -140,6 +143,38 @@ class TestPathsCommand:
         lines = (out / "paths_summary.txt").read_text().splitlines()
         assert lines[0].startswith("# config_hash:") and len(lines) == 6
         assert lines[5].startswith("FAILED in stage paths: OverflowError")
+
+    def test_unwritable_output_exits_usage(self, tmp_path, capsys):
+        # --out naming a file, and a paths.csv that is a directory
+        cfg = write_config(tmp_path, n_paths=4, n_steps=8)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        blocked = tmp_path / "blocked"
+        (blocked / "paths.csv").mkdir(parents=True)
+        for out, named in ((taken, taken), (blocked, blocked / "paths.csv")):
+            assert main(["paths", "--config", str(cfg), "--out", str(out)]) \
+                == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and str(named) in err
+            assert "Traceback" not in err
+
+    def test_failed_writer_child_exits_usage(self, tmp_path, monkeypatch,
+                                             capsys):
+        # the forked writer of the second block finds the disk full
+        def open_failing_on_fd(file, *args, **kwargs):
+            if isinstance(file, int):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(fbm, "_kernel_threads", lambda: 2)
+        monkeypatch.setattr(fbm, "open", open_failing_on_fd, raising=False)
+        cfg = write_config(tmp_path, n_paths=4, n_steps=8)
+        out = tmp_path / "out"
+        assert main(["paths", "--config", str(cfg), "--out", str(out),
+                     "--workers", "2"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out / "paths.csv") in err
+        assert os.strerror(errno.ENOSPC) in err
 
 
 class TestVerifyCommand:

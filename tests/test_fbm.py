@@ -1,5 +1,6 @@
 """Generators and kernels against the analytic covariance law."""
 
+import errno
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
-from fbmcontrol import fbm
+from fbmcontrol import fbm, rng
 from fbmcontrol.errors import DomainError, GridMismatchError
 from fbmcontrol.fbm import (Hurst, TimeGrid, coarsen, fbm_covariance,
                             fbm_from_cholesky, fbm_from_kernel, generate_bm,
@@ -544,17 +545,62 @@ class TestPathSetPlumbing:
         assert lines[0] == "path,dim,node,t,B,BH"
         assert len(lines) == 1 + 3 * 1 * 5
 
-    def test_csv_bytes_match_reference_loop(self, tmp_path):
+    def test_csv_bytes_match_reference_loop(self, tmp_path, monkeypatch):
         # Brownian paths alone (BH is NaN), an m = 2 kernel bundle with both
-        # columns, and a Cholesky bundle (B is NaN)
+        # columns, and a Cholesky bundle (B is NaN); the last two have fewer
+        # paths than workers.  Three CPUs, so workers 3 forks two writers
+        monkeypatch.setattr(fbm, "_kernel_threads", lambda: 3)
         grid = TimeGrid(1.0, 8)
         bundles = [generate_bm(TimeGrid(1.0, 4), 2, 3, seed=5),
                    fbm_from_kernel(generate_bm(grid, 2, 3, seed=7), 0.75),
-                   fbm_from_cholesky(grid, 0.75, 1, 3, seed=7)]
+                   fbm_from_cholesky(grid, 0.75, 1, 3, seed=7),
+                   fbm_from_kernel(generate_bm(grid, 2, 2, seed=9), 0.75),
+                   fbm_from_cholesky(grid, 0.75, 1, 1, seed=9)]
         f = tmp_path / "paths.csv"
         for ps in bundles:
-            ps.to_csv(f)
-            assert f.read_bytes() == _row_writer_csv(ps).encode()
+            for workers in (1, 2, 3):
+                ps.to_csv(f, workers)
+                assert f.read_bytes() == _row_writer_csv(ps).encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["paths.csv"]  # no part
+        with pytest.raises(ChildProcessError):  # every writer was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fault, reason", [
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+         os.strerror(errno.ENOSPC)),
+        (RuntimeError("formatter fault"), "exit status 255")])
+    def test_failed_writer_raises_once_all_are_reaped(self, tmp_path,
+                                                      monkeypatch, fault, reason):
+        # the forked writers open their part by descriptor, the parent its
+        # file by name: both children fail, the parent's block succeeds
+        def open_failing_on_fd(file, *args, **kwargs):
+            if isinstance(file, int):
+                raise fault
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(fbm, "_kernel_threads", lambda: 3)
+        monkeypatch.setattr(fbm, "open", open_failing_on_fd, raising=False)
+        ps = generate_bm(TimeGrid(1.0, 4), 1, 3, seed=5)
+        with pytest.raises(ChildProcessError, match=f"paths 1..1 of .*{reason}"):
+            ps.to_csv(tmp_path / "paths.csv", 3)
+        assert [p.name for p in tmp_path.iterdir()] == ["paths.csv"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_blocks_capped_at_paths_and_cpus(self, tmp_path, monkeypatch):
+        # 100 000 workers on 3 paths: one draw and one writer per block, at
+        # most one block per path and per CPU
+        draws, forks = [], []
+        normal_block, fork = rng.SubstreamSampler.normal_block, os.fork
+        monkeypatch.setattr(rng.SubstreamSampler, "normal_block",
+                            lambda self, *a: draws.append(a) or normal_block(self, *a))
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        blocks = min(3, len(os.sched_getaffinity(0)))
+        ps = fbm_from_kernel(generate_bm(TimeGrid(1.0, 8), 1, 3, seed=5,
+                                         workers=100_000), 0.75)
+        ps.to_csv(tmp_path / "paths.csv", 100_000)
+        assert len(draws) == blocks and len(forks) == blocks - 1
+        assert (tmp_path / "paths.csv").read_bytes() == _row_writer_csv(ps).encode()
 
     def test_immutability(self, coupled_paths_256):
         with pytest.raises(ValueError):
