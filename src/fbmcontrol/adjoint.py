@@ -23,7 +23,7 @@ from .errors import (RegressionError, UnsupportedModelError,
                      UnsupportedRegimeError)
 from .fbm import PathSet, kernel_subdiagonal
 from .sde import ControlProcess, CoefficientModel, Linearization, StatePath, \
-    _step_blocks, euler_mixed, evaluate_along, fundamental_phi, \
+    _row_blocks, _step_blocks, euler_mixed, evaluate_along, fundamental_phi, \
     fundamental_psi, linearize
 
 __all__ = [
@@ -69,13 +69,19 @@ def _basis(x: np.ndarray, center, scale) -> np.ndarray:
 
 def _power_sums(y: np.ndarray, z: np.ndarray, count: int) -> np.ndarray:
     """Sums over paths (axis -2) of y z^i, i = 0 .. count-1, along a new
-    last axis; y may stack targets on leading axes."""
-    power = y.copy()
+    last axis; y may stack targets on leading axes.
+
+    The products are held one ``_step_blocks`` block of node columns at a
+    time; each column's sum runs over the paths in the same order as a
+    whole-array sum, so the sums keep their bits.
+    """
     out = np.empty((*y.shape[:-2], y.shape[-1], count))
-    for i in range(count):
-        if i:
-            power *= z
-        out[..., i] = power.sum(axis=-2)
+    for k0, k1 in _step_blocks(y.shape[-1]):
+        power = y[..., k0:k1].copy()
+        for i in range(count):
+            if i:
+                power *= z[:, k0:k1]
+            out[..., k0:k1, i] = power.sum(axis=-2)
     return out
 
 
@@ -88,7 +94,8 @@ class NodeRegression:
     the power sums sum_p z^0 .. z^(2 degree), the right-hand sides are the
     sums sum_p y z^i, and a prediction is a Horner polynomial in z.  The
     normal equations of all nodes are solved in one batch.  ``coeffs`` and
-    ``predict`` take targets stacked on leading axes; ``features`` evaluates
+    ``predict`` take targets stacked on leading axes, and ``predict`` forms
+    the values of one block of paths; ``features`` evaluates
     the basis at new state values, which the bump oracle needs to keep the
     projection frozen.
     """
@@ -106,7 +113,9 @@ class NodeRegression:
         # exactly 0 where every path is in one state: the rounding in a
         # batched std must not turn a constant node into a regression
         scale = np.where(np.ptp(X, axis=0) > 0, X.std(axis=0), 0.0)
-        z = _scaled(X, center, scale)
+        z = np.empty(X.shape)
+        for rows in _row_blocks(X.shape[0]):
+            z[rows] = _scaled(X[rows], center, scale)
         # sum_p z^0 .. z^(2 degree); entry (i, j) of the Gram is sum_p z^(i+j)
         sums = np.insert(_power_sums(z, z, 2 * REGRESSION_DEGREE), 0,
                          X.shape[0], axis=1)
@@ -127,17 +136,20 @@ class NodeRegression:
         except np.linalg.LinAlgError as exc:
             raise RegressionError("normal equations singular despite ridge") from exc
 
-    def predict(self, c: np.ndarray, features: np.ndarray | None = None) -> np.ndarray:
-        """Values (..., n_paths, n_fit) of coefficients c (..., n_fit, degree+1)
-        at the fitted states, or on other ``features`` (one target)."""
+    def predict(self, c: np.ndarray, rows: slice = slice(None),
+                features: np.ndarray | None = None) -> np.ndarray:
+        """Values (..., n_rows, n_fit) of coefficients c (..., n_fit, degree+1)
+        at the fitted states of the paths ``rows``, or on other ``features``
+        (one target)."""
         if features is not None:
             return np.einsum("pkd,kd->pk", features, c)
+        z = self.z[rows]
         c = c[..., None, :, :]  # broadcast over paths
-        out = c[..., REGRESSION_DEGREE] * self.z
+        out = c[..., REGRESSION_DEGREE] * z
         for i in range(REGRESSION_DEGREE - 1, -1, -1):
             out += c[..., i]
             if i:
-                out *= self.z
+                out *= z
         return out
 
     def features(self, x: np.ndarray, nodes: slice) -> np.ndarray:
@@ -152,24 +164,36 @@ class NodeRegression:
 
 @dataclass
 class AdjointProblem:
-    """Everything the adjoint estimators need, evaluated along one pair."""
+    """Everything the adjoint estimators need along one pair.
+
+    The running-cost partials and the noise coefficients are kept as
+    callables with their evaluation point (t, X, u): each estimator
+    evaluates the field it reads when it reads it (:meth:`along`), so no
+    per-path field outlives the stage that uses it.
+    """
 
     paths: PathSet
     x: StatePath
+    u: np.ndarray             # control node values, (n_paths, n_nodes)
     lin: Linearization
     phi: StatePath
     psi: StatePath
-    fx: np.ndarray            # f_x along the pair, (n_paths, n_nodes)
-    fu: np.ndarray
+    model: CoefficientModel   # sigma_j and gamma_j
+    fx_fn: callable           # f_x(t, x, u)
+    fu_fn: callable
     gx_T: np.ndarray          # g_x(X_T), (n_paths,)
-    sigma_vals: np.ndarray    # sigma_j(t, X, u), (m, n_paths, n_nodes)
-    gamma_vals: np.ndarray
     gxx_T: np.ndarray | None = None
     s2: np.ndarray | None = None  # q's payoff S2, when f_xx and g_xx are given
 
     @property
     def m(self) -> int:
-        return self.sigma_vals.shape[0]
+        return self.lin.m
+
+    def along(self, fns, cols: slice = slice(None)) -> np.ndarray:
+        """``evaluate_along`` of fns at (t, X, u) on the node columns cols,
+        shape (len(fns), n_paths, n_cols)."""
+        return evaluate_along(fns, self.paths.grid.nodes[cols],
+                              self.x.X[:, cols], self.u[:, cols])
 
     @property
     def pair(self) -> tuple:
@@ -215,7 +239,6 @@ def adjoint_problem(model: CoefficientModel, u: ControlProcess, x0: float,
     x = euler_mixed(model, u, x0, paths)
     uv = u.materialize(x)
     lin = linearize(model, x, u)
-    at = (paths.grid.nodes, x.X, uv)
     gxx_T = np.full(x.n_paths, gxx_fn(x.X[:, -1]), dtype=float) \
         if gxx_fn is not None else None
     if pair is not None:
@@ -225,20 +248,22 @@ def adjoint_problem(model: CoefficientModel, u: ControlProcess, x0: float,
         psi = fundamental_psi(lin, paths)
         s2 = None
         if fxx_fn is not None and gxx_T is not None:
-            fxx = evaluate_along([fxx_fn], *at)[0]
-            s2 = _tail_trapezoid(fxx * phi.X ** 2, paths.grid.dt) \
-                + (gxx_T * phi.X[:, -1] ** 2)[:, None]
-    fx, fu = evaluate_along([fx_fn, fu_fn], *at)
+            fxx = evaluate_along([fxx_fn], paths.grid.nodes, x.X, uv)[0]
+            s2 = np.empty(phi.X.shape)
+            for rows in _row_blocks(x.n_paths):
+                ph = phi.X[rows]
+                s2[rows] = _tail_trapezoid(fxx[rows] * ph ** 2, paths.grid.dt) \
+                    + (gxx_T[rows] * ph[:, -1] ** 2)[:, None]
     return AdjointProblem(
-        paths=paths, x=x, lin=lin, phi=phi, psi=psi, fx=fx, fu=fu,
-        gx_T=np.asarray(gx_fn(x.X[:, -1]), dtype=float),
-        sigma_vals=evaluate_along(model.sigma, *at),
-        gamma_vals=evaluate_along(model.gamma, *at),
-        gxx_T=gxx_T, s2=s2)
+        paths=paths, x=x, u=uv, lin=lin, phi=phi, psi=psi, model=model,
+        fx_fn=fx_fn, fu_fn=fu_fn,
+        gx_T=np.asarray(gx_fn(x.X[:, -1]), dtype=float), gxx_T=gxx_T, s2=s2)
 
 
 def _tail_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
-    """int_{t_k}^T of node values by trapezoid, for every k (reverse cumsum)."""
+    """int_{t_k}^T of node values by trapezoid, for every k (reverse cumsum);
+    each row (path) is summed on its own, so a block of rows gives the same
+    bits as the whole array."""
     seg = 0.5 * (values[:, :-1] + values[:, 1:]) * dt
     out = np.zeros_like(values)
     out[:, :-1] = seg[:, ::-1].cumsum(axis=1)[:, ::-1]
@@ -294,15 +319,21 @@ def estimate_p(prob: AdjointProblem) -> AdjointEstimate:
     node is imposed exactly as g_x(X*(T)) with no regression.
     """
     grid = prob.paths.grid
-    payoff = _tail_trapezoid(prob.fx * prob.phi.X, grid.dt) \
-        + (prob.gx_T * prob.phi.X[:, -1])[:, None]
-    p_raw = prob.psi.X * payoff
-    p_raw[:, -1] = prob.gx_T
+    fx = prob.along([prob.fx_fn])[0]
+    phi, psi, gx_T = prob.phi.X, prob.psi.X, prob.gx_T
+    p_raw = np.empty(phi.shape)
+    for rows in _row_blocks(len(phi)):
+        payoff = _tail_trapezoid(fx[rows] * phi[rows], grid.dt) \
+            + (gx_T[rows] * phi[rows, -1])[:, None]
+        np.multiply(psi[rows], payoff, out=p_raw[rows])
+    del fx  # released before the fit's and p's arrays are made
+    p_raw[:, -1] = gx_T
     reg = NodeRegression.fit(prob.x.X[:, :-1])
     coeffs = reg.coeffs(p_raw[:, :-1])
     p = np.empty_like(p_raw)
-    p[:, :-1] = reg.predict(coeffs)
-    p[:, -1] = prob.gx_T  # terminal condition, exact
+    for rows in _row_blocks(len(p)):
+        p[rows, :-1] = reg.predict(coeffs, rows)
+    p[:, -1] = gx_T  # terminal condition, exact
     return AdjointEstimate(grid, p, p_raw, reg, coeffs)
 
 
@@ -324,9 +355,15 @@ def estimate_q_formula(prob: AdjointProblem, est: AdjointEstimate) -> AdjointEst
         raise UnsupportedModelError("q formula needs f_xx and g_xx along the pair")
     prob.sigma_x_deterministic()  # raises unless the model is linear in state
     reg = est.regression
-    q_raw = prob.psi.X ** 2 * prob.sigma_vals * prob.s2
+    sigma, psi, s2 = prob.along(prob.model.sigma), prob.psi.X, prob.s2
+    q_raw = np.empty(sigma.shape)
+    for rows in _row_blocks(len(psi)):
+        q_raw[:, rows] = psi[rows] ** 2 * sigma[:, rows] * s2[rows]
+    del sigma  # released before q is made
+    coeffs = reg.coeffs(q_raw[..., :-1])
     q = np.empty_like(q_raw)
-    q[..., :-1] = reg.predict(reg.coeffs(q_raw[..., :-1]))
+    for rows in _row_blocks(len(psi)):
+        q[:, rows, :-1] = reg.predict(coeffs, rows)
     q[..., -1] = q_raw[..., -1]
     est.q = q
     est.q_raw = q_raw
@@ -378,16 +415,18 @@ def estimate_q_bump(prob: AdjointProblem, est: AdjointEstimate,
     q = np.full((prob.m, n_paths, n_nodes), np.nan)
     se = np.full((prob.m, n_nodes), np.nan)
     X = prob.x.X
+    sigma, gamma = prob.along(prob.model.sigma), prob.along(prob.model.gamma)
     wvec = np.empty((n_nodes - 2, REGRESSION_DEGREE + 1))
     for j in range(prob.m):
-        sig, gam = prob.sigma_vals[j], prob.gamma_vals[j]
+        sig, gam = sigma[j], gamma[j]
         for start in range(0, n_nodes - 2, BUMP_BLOCK_NODES):
             k = slice(start, min(start + BUMP_BLOCK_NODES, n_nodes - 2))
             nxt = slice(k.start + 1, k.stop + 1)
             dx = h * (sig[:, k] + gam[:, k] * w_diag[k])
             fplus = reg.features(X[:, nxt] + dx, nxt)
             fminus = reg.features(X[:, nxt] - dx, nxt)
-            q[j, :, k] = (reg.predict(c[k], fplus) - reg.predict(c[k], fminus)) / (2 * h)
+            q[j, :, k] = (reg.predict(c[k], features=fplus)
+                          - reg.predict(c[k], features=fminus)) / (2 * h)
             fplus -= fminus
             wvec[k] = fplus.mean(axis=0) / (2 * h)
         var_coeff = np.zeros(n_nodes - 1)
@@ -427,12 +466,24 @@ class ResidualReport:
                          f"{self.stderr[k]:.17g},{self.mean_sq[k]:.17g}\n")
 
 
-def _report(t, field: np.ndarray) -> ResidualReport:
-    n = field.shape[0]
-    return ResidualReport(
-        t=np.asarray(t), mean=field.mean(axis=0),
-        stderr=field.std(axis=0, ddof=1) / np.sqrt(n),
-        mean_sq=(field ** 2).mean(axis=0))
+def _report(t: np.ndarray, n_paths: int, fields) -> ResidualReport:
+    """Per-node statistics of a residual field over the steps t, built one
+    ``_step_blocks`` block of steps at a time.
+
+    ``fields(k0, k1)`` gives the field of steps k0 <= k < k1 and the field
+    whose spread sets the standard error (the same one, or one built from
+    the raw targets).  The statistics equal those of the whole fields bit
+    for bit.
+    """
+    n = len(t)
+    mean, stderr, mean_sq = np.empty(n), np.empty(n), np.empty(n)
+    for k0, k1 in _step_blocks(n):
+        r, r_spread = fields(k0, k1)
+        mean[k0:k1] = r.mean(axis=0)
+        mean_sq[k0:k1] = (r ** 2).mean(axis=0)
+        stderr[k0:k1] = r_spread.std(axis=0, ddof=1)
+    stderr /= np.sqrt(n_paths)
+    return ResidualReport(t=t, mean=mean, stderr=stderr, mean_sq=mean_sq)
 
 
 def stationarity_residual(prob: AdjointProblem, est: AdjointEstimate) -> ResidualReport:
@@ -446,17 +497,23 @@ def stationarity_residual(prob: AdjointProblem, est: AdjointEstimate) -> Residua
     0..n-1 are reported: in the left-point discretization the terminal
     control value is a costless degree of freedom with no residual meaning.
     """
-    if np.abs(prob.lin.gu).max() > 0:
+    gu = prob.lin.gu  # max and min: no |gamma_u| array
+    if gu.max() > 0 or gu.min() < 0:
         raise UnsupportedRegimeError(
             "stationarity residual implemented for gamma_u == 0 only; the "
             "correction terms involving the fractional Malliavin derivative "
             "of the terminal functionals are out of scope")
     if est.q_raw is None:
         raise ValueError("estimate q before evaluating the stationarity residual")
-    field = prob.lin.bu[:, :-1] * est.p_raw[:, :-1] \
-        + (prob.lin.su[:, :, :-1] * est.q_raw[:, :, :-1]).sum(axis=0) \
-        + prob.fu[:, :-1]
-    return _report(prob.paths.grid.nodes[:-1], field)
+    lin = prob.lin
+
+    def field(k0, k1):
+        r = lin.bu[:, k0:k1] * est.p_raw[:, k0:k1] \
+            + (lin.su[:, :, k0:k1] * est.q_raw[:, :, k0:k1]).sum(axis=0) \
+            + prob.along([prob.fu_fn], slice(k0, k1))[0]
+        return r, r
+
+    return _report(prob.paths.grid.nodes[:-1], prob.paths.n_paths, field)
 
 
 def bsde_residual(prob: AdjointProblem, est: AdjointEstimate) -> ResidualReport:
@@ -473,8 +530,8 @@ def bsde_residual(prob: AdjointProblem, est: AdjointEstimate) -> ResidualReport:
     from it by the discrete product defect Phi Psi - 1, which is tracked by
     the fundamental-pair invariant, not smuggled into this residual.
 
-    The fields are built one ``sde.TIME_BLOCK`` of steps at a time; the
-    per-node statistics equal those of the whole fields bit for bit.
+    The fields, and f_x on their columns, are built one ``sde.TIME_BLOCK``
+    of steps at a time (see ``_report``).
     """
     if est.q is None:
         raise ValueError("estimate q before evaluating the BSDE residual")
@@ -483,7 +540,7 @@ def bsde_residual(prob: AdjointProblem, est: AdjointEstimate) -> ResidualReport:
     BH, dB, lin, q = prob.paths.BH, prob.paths.dB, prob.lin, est.q
     p_term = prob.psi.X[:, -1] * prob.phi.X[:, -1] * prob.gx_T
 
-    def field(p_nodes, k0, k1):
+    def field(p_nodes, fx, k0, k1):
         """Residuals of steps k0 <= k < k1."""
         p_eff = np.empty((n_paths, k1 - k0 + 1))
         p_eff[:, :-1] = p_nodes[:, k0:k1]
@@ -492,18 +549,14 @@ def bsde_residual(prob: AdjointProblem, est: AdjointEstimate) -> ResidualReport:
         r = p_eff[:, 1:] - p_eff[:, :-1] \
             + (lin.bx[:, k0:k1] * p_k
                + (lin.sx[:, :, k0:k1] * q[:, :, k0:k1]).sum(axis=0)
-               + prob.fx[:, k0:k1]) * grid.dt
+               + fx) * grid.dt
         for j in range(prob.m):
             dbh = BH[:, j, k0 + 1:k1 + 1] - BH[:, j, k0:k1]
             r = r + lin.gx[j, :, k0:k1] * p_k * dbh - q[j, :, k0:k1] * dB[:, j, k0:k1]
         return r
 
-    mean, stderr, mean_sq = np.empty(n), np.empty(n), np.empty(n)
-    for k0, k1 in _step_blocks(n):
-        r_hat = field(est.p, k0, k1)
-        mean[k0:k1] = r_hat.mean(axis=0)
-        mean_sq[k0:k1] = (r_hat ** 2).mean(axis=0)
-        stderr[k0:k1] = field(est.p_raw, k0, k1).std(axis=0, ddof=1)
-    stderr /= np.sqrt(n_paths)
-    return ResidualReport(t=grid.nodes[:-1], mean=mean, stderr=stderr,
-                          mean_sq=mean_sq)
+    def fields(k0, k1):
+        fx = prob.along([prob.fx_fn], slice(k0, k1))[0]
+        return field(est.p, fx, k0, k1), field(est.p_raw, fx, k0, k1)
+
+    return _report(grid.nodes[:-1], n_paths, fields)

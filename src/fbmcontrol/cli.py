@@ -336,14 +336,16 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
         if not check.passed:
             exit_code = EXIT_CHECK_FAILURE
 
-    # the checks below need the control alone: the solve's per-path
-    # problem and estimate go before they build their own arrays
-    u_star = sol.u
+    # the checks below need the control and its state alone: the rest of
+    # the solve's per-path problem and estimate goes before they build
+    # their own arrays
+    u_star, x_star = sol.u, sol.problem.x
     del sol
     run.stage = "optimality_sweep"
     directions = random_adapted_directions(paths, cfg["n_directions"],
                                            cfg["seed"] + 99)
-    rows = optimality_sweep(spec, u_star, directions, cfg["eps_list"], paths)
+    rows = optimality_sweep(spec, u_star, directions, cfg["eps_list"], paths,
+                            x_star)
     n_bad = sum((not r.diff_ok()) or (not r.deriv_ok()) for r in rows)
     lines.append(f"optimality_sweep: {len(rows)} rows, {n_bad} violations")
     with open(out / "optimality_sweep.csv", "w", newline="") as fh:
@@ -357,7 +359,7 @@ def cmd_solve_lq(cfg: dict, out: Path, workers: int, run: Progress) -> int:
     run.stage = "convexity"
     conv = convexity_check(spec, u_star,
                            ControlProcess.from_values(u_star.values + 0.5),
-                           paths)
+                           paths, x_star)
     lines.append(f"convexity margin: {conv.margin_mean:.6e} "
                  f"+- {conv.margin_stderr:.2e} (holds: {conv.holds()})")
     if not conv.holds():

@@ -18,8 +18,8 @@ from .adjoint import (AdjointEstimate, AdjointProblem, adjoint_problem,
                       estimate_p, estimate_q_formula)
 from .errors import DomainError, UnsupportedModelError
 from .fbm import PathSet, TimeGrid
-from .sde import (CoefficientModel, ControlProcess, StatePath, euler_mixed,
-                  linearize, variation_direct)
+from .sde import (CoefficientModel, ControlProcess, StatePath, _row_blocks,
+                  euler_mixed, linearize, variation_direct)
 
 __all__ = [
     "LqSpec",
@@ -138,7 +138,8 @@ def lq_cost(spec: LqSpec, u: ControlProcess, paths: PathSet,
             x: StatePath | None = None) -> CostEstimate:
     """Monte Carlo cost J(u) = (1/2) E[ int (Q X^2 + R u^2) dt + G X(T)^2 ],
     per path and as a mean with its standard error; ``x`` is the state
-    under ``u`` when it is already simulated."""
+    under ``u`` when it is already simulated.  The running cost is summed
+    ROW_CHUNK paths at a time."""
     spec.validate_on(paths.grid)
     if x is None:
         x = euler_mixed(lq_model(spec, paths.m), u, spec.x0, paths)
@@ -147,8 +148,10 @@ def lq_cost(spec: LqSpec, u: ControlProcess, paths: PathSet,
     qv = _node_values(f["Q"], t)
     rv = _node_values(f["R"], t)
     u_values = u.materialize(x)
-    run = ((qv * x.X[:, :-1] ** 2 + rv * u_values[:, :-1] ** 2)
-           * x.grid.dt).sum(axis=1)
+    run = np.empty(x.n_paths)
+    for rows in _row_blocks(x.n_paths):
+        run[rows] = ((qv * x.X[rows, :-1] ** 2 + rv * u_values[rows, :-1] ** 2)
+                     * x.grid.dt).sum(axis=1)
     per_path = 0.5 * (run + spec.G * x.X[:, -1] ** 2)
     return CostEstimate(float(per_path.mean()),
                         float(per_path.std(ddof=1) / np.sqrt(len(per_path))),
@@ -290,11 +293,15 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
         cost = lq_cost(spec, u, paths, prob.x)
         if converged or it == options.max_iter:
             break  # the estimates are at the returned control
-        resid = -(at_nodes * est.p
-                  + mt_nodes * est.q[paths.m - 1]) / r_nodes
-        resid -= u.values  # target - u
-        # the sweep's arrays go before the next sweep's are built
+        # the sweep's arrays, but p and q, go before the residual's and the
+        # next sweep's are built
+        p, q = est.p, est.q[paths.m - 1]
         prob = est = None
+        resid = np.empty(u.values.shape)  # target - u, by blocks of paths
+        for rows in _row_blocks(paths.n_paths):
+            resid[rows] = -(at_nodes * p[rows] + mt_nodes * q[rows]) / r_nodes
+            resid[rows] -= u.values[rows]
+        del p, q
         change = options.theta * _mean_l2(resid, paths.grid.dt)
         log.append({"iter": it, "change": change,
                     "J": cost.J, "J_stderr": cost.stderr})
@@ -387,7 +394,8 @@ class SweepRow:
 
 def optimality_sweep(spec: LqSpec, u_star: ControlProcess,
                      directions: list[ControlProcess], eps_list,
-                     paths: PathSet) -> list[SweepRow]:
+                     paths: PathSet, x_star: StatePath | None = None
+                     ) -> list[SweepRow]:
     """Cost differences and directional derivatives around u*, common random numbers.
 
     For each direction v and eps: J(u* + eps v) - J(u*) (must not be
@@ -403,10 +411,12 @@ def optimality_sweep(spec: LqSpec, u_star: ControlProcess,
         D2 = (1/2) (sum (Q Y^2 + R v^2) dt + G Y_T^2),
     and the central difference is D1 for every eps.  Each direction thus
     costs one variation run instead of 2 |eps_list| Euler runs, and the
-    rows equal the Euler differences up to rounding.
+    rows equal the Euler differences up to rounding.  ``x_star`` is the
+    state under u* when it is already simulated.
     """
     model = lq_model(spec, paths.m)
-    x_star = euler_mixed(model, u_star, spec.x0, paths)
+    if x_star is None:
+        x_star = euler_mixed(model, u_star, spec.x0, paths)
     u_mat = u_star.materialize(x_star)
     lin = linearize(model, x_star, u_star)
     f = spec.fns()
@@ -447,16 +457,18 @@ class ConvexityReport:
 
 
 def convexity_check(spec: LqSpec, u1: ControlProcess, u2: ControlProcess,
-                    paths: PathSet) -> ConvexityReport:
+                    paths: PathSet, x1: StatePath | None = None) -> ConvexityReport:
     """Strict-convexity margin J(u1) + J(u2) - 2 J((u1+u2)/2) >= (delta/4) E int |u1-u2|^2.
 
     delta = min R(t) on the grid; everything on common random numbers.  Also
     verifies that the midpoint control drives the midpoint state pathwise
-    (linearity of the dynamics).
+    (linearity of the dynamics).  ``x1`` is the state under u1 when it is
+    already simulated.
     """
     delta = spec.validate_on(paths.grid)
     model = lq_model(spec, paths.m)
-    x1 = euler_mixed(model, u1, spec.x0, paths)
+    if x1 is None:
+        x1 = euler_mixed(model, u1, spec.x0, paths)
     x2 = euler_mixed(model, u2, spec.x0, paths)
     u1_mat = u1.materialize(x1)
     u2_mat = u2.materialize(x2)

@@ -141,10 +141,11 @@ def _blowup_guard(x: np.ndarray, step: int) -> None:
 
 # paths per block when the increments are copied to time-major order
 INCREMENT_BLOCK = 64
-# steps per block of the inputs a step loop holds time-major, and of the
-# fields a per-step reduction builds
+# steps per block of the inputs and states a step loop holds time-major,
+# and of the fields and products a per-node reduction over paths builds
 TIME_BLOCK = 64
-# paths per chunk of the fundamental pair's step-factor and noise scratch
+# paths per chunk of per-path work formed into one output: the fundamental
+# pair's step factors, the adjoint targets and fits, costs and residuals
 ROW_CHUNK = 64
 
 
@@ -171,6 +172,12 @@ def _time_major_increments(paths: PathSet, k0: int = 0,
     return db, dbh
 
 
+def _row_blocks(n_paths: int):
+    """Paths 0..n_paths-1 as consecutive slices of ROW_CHUNK."""
+    return (slice(p0, min(p0 + ROW_CHUNK, n_paths))
+            for p0 in range(0, n_paths, ROW_CHUNK))
+
+
 def _step_blocks(n_steps: int):
     """Steps 0..n_steps-1 as consecutive (k0, k1) blocks of TIME_BLOCK, a
     1-step tail joined to the block before it: numpy sums a one-column
@@ -182,6 +189,27 @@ def _step_blocks(n_steps: int):
     return zip(starts, starts[1:] + [n_steps])
 
 
+def _euler_block(model: CoefficientModel, u: np.ndarray, x: np.ndarray,
+                 paths: PathSet, k0: int, k1: int) -> np.ndarray:
+    """States of steps k0 < k <= k1 from x = X_k0, time-major, shape
+    (k1 - k0, n_paths); the block's increments and controls are copied
+    time-major, and every array of the block is released on return."""
+    t, dt = paths.grid.nodes, paths.grid.dt
+    db, dbh = _time_major_increments(paths, k0, k1)
+    uv = _time_major(u[:, k0:k1])
+    xt = np.empty((k1 - k0 + 1, len(x)))
+    xt[0] = x
+    for i, k in enumerate(range(k0, k1)):
+        xk, uk = xt[i], uv[i]
+        inc = model.b(t[k], xk, uk) * dt
+        for j in range(model.m):
+            inc = inc + model.sigma[j](t[k], xk, uk) * db[i, j] \
+                      + model.gamma[j](t[k], xk, uk) * dbh[i, j]
+        np.add(xk, inc, out=xt[i + 1])
+        _blowup_guard(xt[i + 1], k + 1)
+    return xt[1:]
+
+
 def euler_mixed(model: CoefficientModel, u: ControlProcess, x0: float,
                 paths: PathSet) -> StatePath:
     """Left-point Euler scheme for the mixed state equation.
@@ -189,31 +217,18 @@ def euler_mixed(model: CoefficientModel, u: ControlProcess, x0: float,
     X_{k+1} = X_k + b dt + sum_j sigma_j dB_j + sum_j gamma_j dB^H_j with all
     coefficients at (t_k, X_k, u_k).  Any |X| beyond ``BLOWUP_LIMIT`` aborts
     with the offending path and step rather than contaminating batch means.
-    The increments are copied time-major one TIME_BLOCK of steps at a time.
+    The states are stepped time-major one TIME_BLOCK of steps at a time and
+    each block is written into the path-major output.
     """
     if paths.BH is None:
         raise GridMismatchError("euler_mixed needs coupled B and B^H paths")
     grid = paths.grid
-    t = grid.nodes
-    dt = grid.dt
-    # the control is copied whole: block copies of it, interleaved with the
-    # increment blocks, fragmented the heap and raised the LQ solve's peak
-    # resident size by 4 MiB at 2 000 paths
-    uv = _time_major(np.broadcast_to(u.values, (paths.n_paths, grid.n_nodes)))
-    X = np.empty((grid.n_nodes, paths.n_paths))
-    X[0] = x0
+    u_nodes = np.broadcast_to(u.values, (paths.n_paths, grid.n_nodes))
+    X = np.empty((paths.n_paths, grid.n_nodes))
+    X[:, 0] = x0
     for k0, k1 in _step_blocks(grid.n_steps):
-        db, dbh = _time_major_increments(paths, k0, k1)
-        for i, k in enumerate(range(k0, k1)):
-            xk, uk = X[k], uv[k]
-            inc = model.b(t[k], xk, uk) * dt
-            for j in range(model.m):
-                inc = inc + model.sigma[j](t[k], xk, uk) * db[i, j] \
-                          + model.gamma[j](t[k], xk, uk) * dbh[i, j]
-            np.add(xk, inc, out=X[k + 1])
-            _blowup_guard(X[k + 1], k + 1)
-    del db, dbh, uv  # released before the path-major copy
-    return StatePath(grid, np.ascontiguousarray(X.T))
+        X[:, k0 + 1:k1 + 1] = _euler_block(model, u_nodes, X[:, k0], paths, k0, k1).T
+    return StatePath(grid, X)
 
 
 @dataclass(frozen=True)
@@ -238,10 +253,11 @@ class Linearization:
 
 
 def evaluate_along(fns, t: np.ndarray, *node_values: np.ndarray) -> np.ndarray:
-    """Each fn called once on the whole grid, shape (len(fns), n_paths, n_nodes).
+    """Each fn called once on the given nodes, shape (len(fns), n_paths, n_nodes).
 
-    ``t`` is the node vector, shape (n_nodes,), and ``node_values`` are
-    (n_paths, n_nodes) arrays such as the state and the control; each fn is
+    ``t`` is the node vector, shape (n_nodes,): the whole grid or a block of
+    its nodes, and ``node_values`` are (n_paths, n_nodes) arrays on those
+    nodes, such as the state and the control; each fn is
     called once and acts elementwise.  When every fn returns one value per
     node (or a scalar), the result is a read-only view of those values
     broadcast over paths with stride 0.
@@ -328,29 +344,41 @@ def _time_major(a: np.ndarray) -> np.ndarray:
     return a[..., :1] if a.strides[-1] == 0 else np.ascontiguousarray(a)
 
 
+def _variation_block(lin: Linearization, v: np.ndarray, y: np.ndarray,
+                     paths: PathSet, k0: int, k1: int) -> np.ndarray:
+    """Variation states of steps k0 < k <= k1 from y = y_k0, time-major,
+    shape (k1 - k0, n_paths); as ``_euler_block``, with the partials and v
+    copied time-major for the block."""
+    dt = paths.grid.dt
+    db, dbh = _time_major_increments(paths, k0, k1)
+    bx, bu, sx, su, gx, gu = (_time_major(a[..., k0:k1]) for a in
+                              (lin.bx, lin.bu, lin.sx, lin.su, lin.gx, lin.gu))
+    vt = np.ascontiguousarray(v[:, k0:k1].T)
+    yt = np.empty((k1 - k0 + 1, len(y)))
+    yt[0] = y
+    for i in range(k1 - k0):
+        yk, vk = yt[i], vt[i]
+        inc = (bx[i] * yk + bu[i] * vk) * dt
+        for j in range(lin.m):
+            inc = inc + (sx[i, j] * yk + su[i, j] * vk) * db[i, j] \
+                      + (gx[i, j] * yk + gu[i, j] * vk) * dbh[i, j]
+        np.add(yk, inc, out=yt[i + 1])
+    return yt[1:]
+
+
 def variation_direct(lin: Linearization, v: np.ndarray, paths: PathSet) -> StatePath:
     """Variation process by direct Euler integration of its linear SDE.
 
-    Like ``euler_mixed``, it holds the increments, the partials and v
-    time-major one TIME_BLOCK of steps at a time.
+    Like ``euler_mixed``, it steps one TIME_BLOCK of steps at a time, with
+    the block's increments, partials, v and states time-major, and writes
+    each block into the path-major output.
     """
     grid = paths.grid
-    dt = grid.dt
-    y = np.zeros((grid.n_nodes, paths.n_paths))
+    y = np.empty((paths.n_paths, grid.n_nodes))
+    y[:, 0] = 0.0
     for k0, k1 in _step_blocks(grid.n_steps):
-        db, dbh = _time_major_increments(paths, k0, k1)
-        bx, bu, sx, su, gx, gu = (_time_major(a[..., k0:k1]) for a in
-                                  (lin.bx, lin.bu, lin.sx, lin.su, lin.gx, lin.gu))
-        vt = np.ascontiguousarray(v[:, k0:k1].T)
-        for i, k in enumerate(range(k0, k1)):
-            yk, vk = y[k], vt[i]
-            inc = (bx[i] * yk + bu[i] * vk) * dt
-            for j in range(lin.m):
-                inc = inc + (sx[i, j] * yk + su[i, j] * vk) * db[i, j] \
-                          + (gx[i, j] * yk + gu[i, j] * vk) * dbh[i, j]
-            np.add(yk, inc, out=y[k + 1])
-    del db, dbh, bx, bu, sx, su, gx, gu, vt  # released before the path-major copy
-    return StatePath(grid, np.ascontiguousarray(y.T))
+        y[:, k0 + 1:k1 + 1] = _variation_block(lin, v, y[:, k0], paths, k0, k1).T
+    return StatePath(grid, y)
 
 
 def variation_explicit(phi: StatePath, psi: StatePath, lin: Linearization,

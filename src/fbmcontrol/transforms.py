@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError
 from .fbm import PathSet, TimeGrid, _check_power, _hval, kappa_h
+from .sde import _row_blocks
 
 __all__ = [
     "GridFunction",
@@ -174,17 +175,18 @@ def transfer_check(f: GridFunction, paths: PathSet) -> TransferReport:
 
     The left side is the pathwise (left-point) Riemann sum against B^H, the
     right the Ito sum against B from the same increments; reports their
-    sample correlation and variances.
+    sample correlation and variances.  dB^H and its sum against f are
+    formed ROW_CHUNK paths at a time.
     """
     if paths.BH is None or paths.dB is None:
         raise GridMismatchError("transfer check needs coupled B and B^H")
     if paths.grid != f.grid:
         raise GridMismatchError("grid of f differs from the path grid")
     gf = gamma_star(f, paths.hurst)
-    dbh = np.diff(paths.BH[:, 0, :], axis=-1)
-    db = paths.dB[:, 0, :]
-    lhs = dbh @ f.values[:-1]
-    rhs = db @ gf.values[:-1]
+    lhs = np.empty(paths.n_paths)
+    for rows in _row_blocks(paths.n_paths):
+        lhs[rows] = np.diff(paths.BH[rows, 0, :], axis=-1) @ f.values[:-1]
+    rhs = paths.dB[:, 0, :] @ gf.values[:-1]
     if np.allclose(lhs, 0) and np.allclose(rhs, 0):
         corr = 1.0
     else:

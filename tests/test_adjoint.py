@@ -1,5 +1,7 @@
 """Adjoint pair estimation, Malliavin closed form and the residual checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -322,10 +324,14 @@ class TestResiduals:
             stationarity_residual(prob, est)
 
     def test_stationarity_zero_by_construction(self, lq_problem):
-        # f_u = -(b_u p + sigma_u q) pathwise: residual identically zero
-        _, prob, est = lq_problem
-        prob.fu = -(prob.lin.bu * est.p_raw
-                    + (prob.lin.su * est.q_raw).sum(axis=0))
+        # f_u = -(b_u p + sigma_u q) pathwise: residual identically zero.
+        # The problem is built again with that f_u; p_raw and q_raw do not
+        # read f_u, so the first problem's estimate serves it
+        _, first, est = lq_problem
+        fu = -(first.lin.bu * est.p_raw + (first.lin.su * est.q_raw).sum(axis=0))
+        dt = first.paths.grid.dt
+        prob = dataclasses.replace(
+            first, fu_fn=lambda t, x, u: fu[:, np.rint(t / dt).astype(int)])
         rep = stationarity_residual(prob, est)
         assert np.allclose(rep.mean, 0.0, atol=1e-14)
 
@@ -343,6 +349,8 @@ class TestResiduals:
     def whole_field_bsde(prob, est):
         """Per-node statistics of the two residual fields built whole."""
         dbh = np.diff(prob.paths.BH, axis=-1)
+        fx = sde.evaluate_along([prob.fx_fn], prob.paths.grid.nodes, prob.x.X,
+                                prob.u)[0]
         p_term = prob.psi.X[:, -1] * prob.phi.X[:, -1] * prob.gx_T
 
         def field(p_nodes):
@@ -350,7 +358,7 @@ class TestResiduals:
             r = p_eff[:, 1:] - p_eff[:, :-1] \
                 + (prob.lin.bx[:, :-1] * p_nodes[:, :-1]
                    + (prob.lin.sx[:, :, :-1] * est.q[:, :, :-1]).sum(axis=0)
-                   + prob.fx[:, :-1]) * prob.paths.grid.dt
+                   + fx[:, :-1]) * prob.paths.grid.dt
             for j in range(prob.m):
                 r = r + prob.lin.gx[j, :, :-1] * p_nodes[:, :-1] * dbh[:, j, :] \
                       - est.q[j, :, :-1] * prob.paths.dB[:, j, :]

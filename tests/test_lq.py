@@ -1,13 +1,14 @@
 """LQ solver end to end: cost, Riccati oracle, Picard fixed point, optimality."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fbmcontrol import adjoint
-from fbmcontrol.adjoint import (estimate_p, estimate_q_formula,
+from fbmcontrol import adjoint, lq, sde
+from fbmcontrol.adjoint import (bsde_residual, estimate_p, estimate_q_formula,
                                 stationarity_residual)
 from fbmcontrol.errors import DomainError, UnsupportedModelError
 from fbmcontrol.fbm import TimeGrid, fbm_from_kernel, generate_bm
@@ -412,6 +413,16 @@ class TestOptimalitySweep:
             assert r.diff_ok(), f"dir {r.direction} eps {r.eps}: dJ={r.dJ}"
             assert r.deriv_ok(), f"dir {r.direction} eps {r.eps}: deriv={r.deriv}"
 
+    def test_given_state_is_used_and_changes_nothing(self, paths, solved,
+                                                    monkeypatch):
+        spec = brownian_spec()
+        directions = random_adapted_directions(paths, 2, seed=99)
+        want = optimality_sweep(spec, solved.u, directions, [0.1], paths)
+        runs = count_euler_runs(monkeypatch)
+        got = optimality_sweep(spec, solved.u, directions, [0.1], paths,
+                               solved.problem.x)
+        assert got == want and runs == [0]
+
     def test_wrong_control_detected(self, paths, solved):
         bad = ControlProcess.from_values(solved.u.values + 1.0)
         directions = random_adapted_directions(paths, 8, seed=99)
@@ -466,7 +477,27 @@ def test_sweep_matches_brute_force_euler(small_paths, spec, m):
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
+def count_euler_runs(monkeypatch) -> list:
+    """Count lq's Euler runs from now on, in a one-element list."""
+    runs = [0]
+
+    def counted(*args, _fn=lq.euler_mixed):
+        runs[0] += 1
+        return _fn(*args)
+    monkeypatch.setattr(lq, "euler_mixed", counted)
+    return runs
+
+
 class TestConvexity:
+    def test_given_state_is_used_and_changes_nothing(self, paths, solved,
+                                                    monkeypatch):
+        u2 = ControlProcess.from_values(solved.u.values + 0.5)
+        want = convexity_check(brownian_spec(), solved.u, u2, paths)
+        runs = count_euler_runs(monkeypatch)
+        got = convexity_check(brownian_spec(), solved.u, u2, paths,
+                              solved.problem.x)
+        assert got == want and runs == [2]
+
     def test_equal_controls(self, paths, solved):
         rep = convexity_check(brownian_spec(), solved.u, solved.u, paths)
         assert rep.margin_mean == pytest.approx(0.0, abs=1e-12)
@@ -534,3 +565,64 @@ class TestIndependentDriverScenario:
         assert sol.converged
         rep = stationarity_residual(sol.problem, sol.estimate)
         assert stationarity(rep).passed
+
+
+class TestWorkingMemory:
+    """The solve holds each per-path field only while a stage reads it."""
+
+    @staticmethod
+    def solve_outputs(spec, paths):
+        """u, p, p_raw, q, q_raw, J and both residual reports of one solve."""
+        sol = lq_picard_solve(spec, paths, PicardOptions(tol=1e-6))
+        assert sol.converged
+        est = sol.estimate
+        reports = (stationarity_residual(sol.problem, est),
+                   bsde_residual(sol.problem, est))
+        return [sol.u.values, est.p, est.p_raw, est.q, est.q_raw, sol.J,
+                *(a for r in reports for a in (r.mean, r.stderr, r.mean_sq))]
+
+    @pytest.fixture(scope="class")
+    def blocks_case(self):
+        """200 paths (no multiple of 7 or 64) on 130 steps (blocks of 64, 64
+        and a folded 2), time-varying coefficients, M~ != 0 so q steers."""
+        spec = LqSpec(A=lambda t: -1.0 + 0.5 * t, A_tilde=1.0,
+                      M=lambda t: 0.2 + 0.1 * np.sin(3 * t), M_tilde=0.3,
+                      N=0.3, Q=lambda t: 1.0 + t,
+                      R=lambda t: 1.0 + 0.5 * np.cos(t))
+        cases = {}
+        for m in (1, 2):
+            paths = fbm_from_kernel(generate_bm(TimeGrid(1.0, 130), m, 200,
+                                                seed=31), 0.75)
+            with pytest.MonkeyPatch.context() as mp:  # whole arrays
+                mp.setattr(sde, "ROW_CHUNK", 10 ** 6)
+                mp.setattr(sde, "TIME_BLOCK", 10 ** 6)
+                cases[m] = spec, paths, self.solve_outputs(spec, paths)
+        return cases
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("name,size", [
+        ("ROW_CHUNK", 1), ("ROW_CHUNK", 7), ("ROW_CHUNK", 64),
+        ("ROW_CHUNK", 1000), ("TIME_BLOCK", 2), ("TIME_BLOCK", 5)])
+    def test_blocks_match_whole_arrays_bitwise(self, blocks_case, m, name,
+                                               size, monkeypatch):
+        spec, paths, want = blocks_case[m]
+        monkeypatch.setattr(sde, name, size)
+        got = self.solve_outputs(spec, paths)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_solve_holds_fourteen_and_a_half_path_arrays(self):
+        # measured 14.3: the Picard history (4), u, Phi, Psi, S2, the state
+        # and the estimate's p, p_raw, z, q and q_raw, plus row blocks;
+        # storing one more per-path field in the problem or the estimate
+        # breaks the bound (the previous design measured 21.1)
+        paths = fbm_from_kernel(generate_bm(TimeGrid(1.0, 64), 1, 1000,
+                                            seed=202), 0.75)
+        path_array = paths.n_paths * paths.grid.n_nodes * 8
+        tracemalloc.start()
+        try:
+            sol = lq_picard_solve(mixed_spec(), paths, PicardOptions(tol=1e-5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.converged and len(sol.iterations) > ANDERSON_DEPTH
+        assert peak <= 14.5 * path_array

@@ -412,9 +412,27 @@ class TestWorkingMemory:
         chunk = ROW_CHUNK * paths.grid.n_steps * 8
         assert traced_peak(fn, lin, paths) <= output + 4 * chunk
 
+    @pytest.mark.parametrize("name", ["euler", "variation"])
+    def test_stepping_holds_its_output_and_time_block_scratch(self, name):
+        # one block each of dB, dB^H, the control (or v) and the states,
+        # stepped time-major; the margin allows one more block
+        spec = LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3)
+        paths = fbm_from_kernel(generate_bm(TimeGrid(1.0, 512), 1, 1000,
+                                            seed=3), 0.75)
+        shape = (paths.n_paths, paths.grid.n_nodes)
+        model, u = lq_model(spec), ControlProcess.from_values(np.full(shape, 0.1))
+        if name == "euler":
+            fn, args = euler_mixed, (model, u, 0.5, paths)
+        else:
+            lin = linearize(model, euler_mixed(model, u, 0.5, paths), u)
+            fn, args = variation_direct, (lin, np.ones(shape), paths)
+        output = paths.n_paths * paths.grid.n_nodes * 8
+        block = (TIME_BLOCK + 1) * paths.n_paths * 8
+        assert traced_peak(fn, *args) <= output + 5 * block
+
     def test_phi_psi_refinement_holds_three_path_arrays(self):
-        # at the finest level Euler's state and its path-major copy, then
-        # Phi and Psi, plus the coarse levels' dB and the blocks
+        # at the finest level Euler's state, then Phi and Psi, plus the
+        # coarse levels' dB and the blocks
         fine = fbm_from_kernel(generate_bm(TimeGrid(1.0, 2048), 1, 500,
                                            seed=4), 0.95)
         path_array = fine.n_paths * fine.grid.n_nodes * 8

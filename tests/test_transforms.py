@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
-from fbmcontrol import transforms
+from fbmcontrol import sde, transforms
 from fbmcontrol.fbm import TimeGrid, coarsen, kappa_h
-from fbmcontrol.transforms import (GridFunction, gamma_star, gamma_star_at,
-                                   isometry_check, phi_norm_sq, transfer_check)
+from fbmcontrol.transforms import (GridFunction, TransferReport, gamma_star,
+                                   gamma_star_at, isometry_check, phi_norm_sq,
+                                   transfer_check)
 
 
 def gf(n, fn, T=1.0):
@@ -142,4 +143,18 @@ class TestTransferCheck:
             corrs.append(transfer_check(f, p).correlation)
         assert corrs[1] >= 0.99  # n = 1024
         assert corrs[0] < corrs[1] < corrs[2]
+
+    # 3 000 paths: no multiple of any block; 1 000 blocks are wider than 2 048
+    @pytest.mark.parametrize("rows", [1, 7, 64, 1000])
+    @pytest.mark.parametrize("fac", [1, 2])
+    def test_row_blocks_match_whole_product_bitwise(self, coupled_paths_fine,
+                                                    rows, fac, monkeypatch):
+        p = coarsen(coupled_paths_fine, fac)
+        f = GridFunction.from_callable(p.grid, lambda t: np.sin(2 * np.pi * t) + t)
+        lhs = np.diff(p.BH[:, 0, :], axis=-1) @ f.values[:-1]
+        rhs = p.dB[:, 0, :] @ gamma_star(f, p.hurst).values[:-1]
+        whole = TransferReport(float(np.corrcoef(lhs, rhs)[0, 1]),
+                               float(lhs.var()), float(rhs.var()))
+        monkeypatch.setattr(sde, "ROW_CHUNK", rows)
+        assert transfer_check(f, p) == whole
 
