@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import beta as beta_fn, comb, eval_jacobi, gamma as gamma_fn
 
+from ._special import beta as beta_fn, comb, eval_jacobi, gamma as gamma_fn
 from .errors import DomainError, FactorizationError, GridMismatchError
 from .rng import SubstreamSampler
 
@@ -275,6 +275,11 @@ def kappa_h(h) -> float:
     H = h.value if isinstance(h, Hurst) else float(h)
     if not 0.5 <= H < 1.0:
         raise DomainError(f"kappa_h requires H in [1/2, 1), got {H}")
+    return _kappa(H)
+
+
+@functools.cache
+def _kappa(H: float) -> float:
     return float(np.sqrt(2 * H * gamma_fn(1.5 - H)
                          / (gamma_fn(H + 0.5) * gamma_fn(2 - 2 * H))))
 
@@ -335,7 +340,7 @@ def _economize(series: np.ndarray) -> tuple[float, np.ndarray]:
     """
     tail = series[1:]
     n = np.arange(len(tail))
-    coef = tail @ (comb(n[:, None], n) * 0.25 ** n[:, None])
+    coef = tail @ _binomial_weights(len(n))
     cheb = np.zeros((len(n), len(n)))  # row k: the power coefficients of T_k
     cheb[0, 0] = cheb[1, 1] = 1.0
     for k in range(2, len(n)):
@@ -344,6 +349,16 @@ def _economize(series: np.ndarray) -> tuple[float, np.ndarray]:
     for k in range(len(n) - 1, KERNEL_SHORT_TERMS - 1, -1):
         coef -= coef[k] / cheb[k, k] * cheb[k]
     return float(series[0]), coef[:KERNEL_SHORT_TERMS]
+
+
+@functools.cache
+def _binomial_weights(size: int) -> np.ndarray:
+    """C(n, k) 4^-n for n, k < size: row n holds the coefficients of
+    v^n = ((x + 1)/4)^n in x = 4v - 1.  The same for every H; read-only."""
+    n = np.arange(size)
+    w = comb(n[:, None], n) * 0.25 ** n[:, None]
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)

@@ -433,7 +433,7 @@ class TestLazyImport:
         # a profiler records every Python function called during the import
         probe = (
             "import sys, threading\n"
-            "import numpy, scipy.special\n"
+            "import numpy\n"
             "names = {'_smooth_factor', '_cell_rules', '_unit_rows', '_unit_table'}\n"
             "called = set()\n"
             "def hook(frame, event, arg):\n"
@@ -464,18 +464,25 @@ class TestLazyImport:
         )
         assert _run_fresh(probe) == ["1 False"]
 
-    def test_cli_import_loads_no_heavy_scipy(self):
-        # only numpy and scipy.special at import; kernel_z's quad loads on call
-        probe = (
-            "import sys\n"
-            "import fbmcontrol.cli\n"
-            "heavy = ('scipy.signal', 'scipy.integrate', 'scipy.stats', 'scipy.optimize')\n"
-            "print(sorted(set(heavy) & set(sys.modules)))\n"
-            "from fbmcontrol import fbm\n"
-            "fbm.kernel_z(0.5, 0.25, 0.75)\n"
-            "print('scipy.integrate' in sys.modules)\n"
-        )
-        assert _run_fresh(probe) == ["[]", "True"]
+    def test_cli_import_loads_no_heavy_scipy(self, tmp_path):
+        # numpy alone at import, after a cold kernel table and after the
+        # paths and solve-lq commands, each in a fresh interpreter; only
+        # kernel_z's quad loads scipy, on its call
+        loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"n_paths": 250, "n_steps": 16, "seed": 7, "tol": 1e-4, '
+                       '"n_directions": 1, "eps_list": [0.1]}')
+        run = ("print([cli.main([*argv, '--config', {!r}, '--out', {!r}]) for argv in "
+               "(['paths', '--workers', '2'], ['solve-lq'])])\n"
+               ).format(str(cfg), str(tmp_path / "out"))
+        kernel = "fbm.kernel_weights(fbm.TimeGrid(1.0, 64), 0.75)\n"
+        head = "import sys\nimport fbmcontrol.cli as cli\nfrom fbmcontrol import fbm\n"
+        assert _run_fresh(head + loaded) == ["[]"]
+        assert _run_fresh(head + kernel + loaded) == ["[]"]
+        # the last two lines, after the commands' own reports
+        assert _run_fresh(head + run + loaded)[-2:] == ["[0, 0]", "[]"]
+        probe = head + "fbm.kernel_z(0.5, 0.25, 0.75)\nprint('scipy.integrate' in sys.modules)\n"
+        assert _run_fresh(probe) == ["True"]
 
 
 def _row_writer_csv(ps) -> str:
