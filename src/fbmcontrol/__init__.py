@@ -6,7 +6,7 @@ from .errors import (BlowupError, DomainError, FactorizationError,
                      UnsupportedRegimeError)
 from .fbm import (Hurst, PathSet, TimeGrid, coarsen, fbm_covariance,
                   fbm_from_cholesky, fbm_from_kernel, generate_bm, kappa_h,
-                  kernel_weights, kernel_z, kernel_z_closed)
+                  kernel_weights, kernel_z_closed)
 from .transforms import (GridFunction, gamma_star, isometry_check, phi_norm_sq,
                          transfer_check)
 from .sde import (CoefficientModel, ControlProcess, StatePath, euler_mixed,

@@ -38,7 +38,6 @@ __all__ = [
     "PathSet",
     "fbm_covariance",
     "kappa_h",
-    "kernel_z",
     "kernel_z_closed",
     "kernel_weights",
     "kernel_subdiagonal",
@@ -282,20 +281,6 @@ def kappa_h(h) -> float:
 def _kappa(H: float) -> float:
     return float(np.sqrt(2 * H * gamma_fn(1.5 - H)
                          / (gamma_fn(H + 0.5) * gamma_fn(2 - 2 * H))))
-
-
-def kernel_z(t: float, s: float, h) -> float:
-    """Volterra kernel Z_H(t, s) on 0 < s < t, inner integral by adaptive quadrature."""
-    from scipy.integrate import quad  # here, so that only the oracle pays the import
-
-    H = _hval(h)
-    if not 0 < s < t:
-        raise DomainError(f"kernel requires 0 < s < t, got s={s}, t={t}")
-    kH = kappa_h(H)
-    inner, _ = quad(lambda u: u ** (H - 1.5) * (u - s) ** (H - 0.5), s, t,
-                    epsabs=1e-13, epsrel=1e-12, limit=200)
-    return kH * ((t / s) ** (H - 0.5) * (t - s) ** (H - 0.5)
-                 - (H - 0.5) * s ** (0.5 - H) * inner)
 
 
 KERNEL_SERIES_TERMS = 61  # terms of each 2F1 series that _smooth_factor economizes

@@ -1,22 +1,25 @@
 """Generators and kernels against the analytic covariance law."""
 
+import ast
 import errno
+import functools
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import roots_jacobi
 
-from fbmcontrol import fbm, rng
+from fbmcontrol import _special, fbm, rng, verify
 from fbmcontrol.errors import DomainError, GridMismatchError
 from fbmcontrol.fbm import (Hurst, TimeGrid, coarsen, fbm_covariance,
                             fbm_from_cholesky, fbm_from_kernel, generate_bm,
-                            kappa_h, kernel_subdiagonal, kernel_weights, kernel_z,
+                            kappa_h, kernel_subdiagonal, kernel_weights,
                             kernel_z_closed)
 
 # frozen via an independent high-precision (mpmath) evaluation
@@ -134,11 +137,29 @@ class TestKappaH:
             assert kappa_h(H) > 0
 
 
+def kernel_z(t: float, s: float, H: float) -> float:
+    """Z_H(t, s) on 0 < s < t from its defining integral, the inner integral
+    by scipy's adaptive quad: the oracle of ``kernel_z_closed``, which shares
+    nothing with its series."""
+    inner, _ = quad(lambda u: u ** (H - 1.5) * (u - s) ** (H - 0.5), s, t,
+                    epsabs=1e-13, epsrel=1e-12, limit=200)
+    return kappa_h(H) * ((t / s) ** (H - 0.5) * (t - s) ** (H - 0.5)
+                         - (H - 0.5) * s ** (0.5 - H) * inner)
+
+
+@functools.cache
+def nested_quad_sq(t: float, H: float) -> float:
+    """int_0^t kernel_z(t, s, H)^2 ds by a quad around ``kernel_z``'s quad."""
+    val, _ = quad(lambda s: kernel_z(t, s, H) ** 2, 0, t,
+                  epsabs=1e-13, epsrel=1e-10, limit=400, points=[0.0, t])
+    return val
+
+
 class TestKernelZ:
     def test_domain_errors(self):
         for (t, s) in [(1.0, 1.0), (1.0, 2.0), (1.0, 0.0), (1.0, -0.5)]:
             with pytest.raises(DomainError):
-                kernel_z(t, s, 0.75)
+                kernel_z_closed(t, s, 0.75)
 
     def test_frozen_value(self):
         assert kernel_z(1.0, 0.5, 0.75) == pytest.approx(KERNEL_Z_1_05_075, rel=1e-10)
@@ -156,9 +177,83 @@ class TestKernelZ:
     @pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
     def test_square_integral_identity(self, H, t):
         # int_0^t Z_H(t,s)^2 ds = t^{2H}: forced by Var B^H(t)
-        val, _ = quad(lambda s: kernel_z(t, s, H) ** 2, 0, t,
-                      epsabs=1e-13, epsrel=1e-10, limit=400, points=[0.0, t])
-        assert val == pytest.approx(t ** (2 * H), rel=1e-6)
+        assert nested_quad_sq(t, H) == pytest.approx(t ** (2 * H), rel=1e-6)
+
+
+class TestKernelSqIdentity:
+    """``verify.kernel_sq_identity``: its Gauss-Kronrod rule, and its
+    integral of the closed form against the nested quad of ``kernel_z``."""
+
+    def test_rule_bisects_toward_both_ends(self):
+        # bounded, with a singular derivative at either end
+        val, err, converged = verify._gauss_kronrod(
+            lambda s: s ** 0.3 * (1 - s) ** 0.8, 0.0, 1.0, 1e-13)
+        assert converged and err <= 1e-13
+        assert val == pytest.approx(_special.beta(1.3, 1.8), rel=1e-13, abs=0)
+
+    def test_split_takes_both_end_point_powers(self):
+        val, err, converged = verify._split_integral(
+            lambda s: s ** -0.8 * (1 - s) ** 0.8, 1.0, 0.8, 1e-13)
+        beta = _special.beta(0.2, 1.8)
+        assert converged and err <= 1e-13 * beta
+        assert val == pytest.approx(beta, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("H", [0.51, 0.6, 0.75, 0.9, 0.99])
+    @pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
+    def test_matches_nested_quad(self, H, t):
+        val, err, converged = verify._kernel_sq_integral(t, H)
+        assert converged and err <= 1e-13
+        assert val == pytest.approx(t ** (2 * H), rel=1e-12, abs=0)
+        if H < 0.99:
+            assert val == pytest.approx(nested_quad_sq(t, H), rel=1e-12, abs=0)
+            return
+        # at H 0.99 the inner quad reports roundoff and the nested value is
+        # itself 1.9e-11 from t^{2H} at t = 0.25
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            oracle = nested_quad_sq(t, H)
+        assert val == pytest.approx(oracle, rel=1e-10, abs=0)
+
+    def test_checks_pass_with_their_values(self):
+        checks = verify.kernel_sq_identity((0.6, 0.75, 0.9))
+        assert [c.name for c in checks] == [
+            f"kernel_sq_identity_H{H}_t{t}"
+            for H in (0.6, 0.75, 0.9) for t in (0.25, 0.5, 1.0)]
+        assert all(c.passed and c.value <= 1e-12 and c.tolerance == 1e-6
+                   and c.detail == "" for c in checks)
+
+    @pytest.mark.parametrize("near", [True, False])
+    def test_fails_on_r_off_on_one_side(self, monkeypatch, near):
+        # R scaled by 1 + 1e-4 on one side of its c = 1/2 split; the nested
+        # quad of kernel_z never evaluates R and would pass it
+        side = fbm._SmoothFactor.side
+
+        def skewed(self, r, c, on_near, unit_z, work):
+            out = side(self, r, c, on_near, unit_z, work)
+            return out * (1 + 1e-4) if on_near == near else out
+
+        monkeypatch.setattr(fbm._SmoothFactor, "side", skewed)
+        checks = verify.kernel_sq_identity((0.6, 0.75, 0.9))
+        assert not any(c.passed for c in checks)
+        assert min(c.value for c in checks) > 1e-5
+
+    def test_round_cap_fails_the_check(self, monkeypatch):
+        # Z^2 = 1/s is not integrable at 0: the rule bisects toward 0 until
+        # its round cap, and the check fails with no traceback or warning
+        val, err, converged = verify._gauss_kronrod(lambda s: 1 / s, 0.0, 1.0, 1e-13)
+        assert not converged and err > 1e-13
+        monkeypatch.setattr(verify, "kernel_z_closed", lambda t, s, H: s ** -0.5)
+        check = verify.kernel_sq_identity((0.75,))[0]
+        assert not check.passed
+        assert check.detail.startswith("integral ")
+        assert check.detail.endswith("misses its error target")
+
+    def test_underflowing_node_fails_the_check(self):
+        # at H 0.999, s = t w^500 underflows to 0 on the first round
+        checks = verify.kernel_sq_identity((0.999,))
+        assert not any(c.passed for c in checks)
+        assert {c.detail for c in checks} == {
+            "a node s = t w^(1/(2-2H)) underflows to 0"}
 
 
 class TestGenerateBm:
@@ -453,36 +548,37 @@ class TestLazyImport:
         assert _run_fresh(probe) == [
             "0 []", "1 ['_cell_rules', '_smooth_factor', '_unit_rows', '_unit_table']"]
 
-    def test_kernel_build_loads_no_scipy_linalg(self):
-        # the Gauss-Jacobi rules come from numpy's eigensolver
-        probe = (
-            "import sys\n"
-            "import fbmcontrol.cli\n"
-            "from fbmcontrol import fbm\n"
-            "fbm.kernel_weights(fbm.TimeGrid(1.0, 64), 0.75)\n"
-            "print(len(fbm._unit_tables), 'scipy.linalg' in sys.modules)\n"
-        )
-        assert _run_fresh(probe) == ["1 False"]
-
     def test_cli_import_loads_no_heavy_scipy(self, tmp_path):
-        # numpy alone at import, after a cold kernel table and after the
-        # paths and solve-lq commands, each in a fresh interpreter; only
-        # kernel_z's quad loads scipy, on its call
+        # numpy alone at import, after a cold kernel table (numpy's
+        # eigensolver gives the Gauss-Jacobi rules) and after the paths,
+        # solve-lq and verify covariance commands, each in a fresh interpreter
         loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         cfg = tmp_path / "config.json"
         cfg.write_text('{"n_paths": 250, "n_steps": 16, "seed": 7, "tol": 1e-4, '
                        '"n_directions": 1, "eps_list": [0.1]}')
         run = ("print([cli.main([*argv, '--config', {!r}, '--out', {!r}]) for argv in "
-               "(['paths', '--workers', '2'], ['solve-lq'])])\n"
+               "(['paths', '--workers', '2'], ['solve-lq'], ['verify', 'covariance'])])\n"
                ).format(str(cfg), str(tmp_path / "out"))
-        kernel = "fbm.kernel_weights(fbm.TimeGrid(1.0, 64), 0.75)\n"
+        kernel = ("fbm.kernel_weights(fbm.TimeGrid(1.0, 64), 0.75)\n"
+                  "print(len(fbm._unit_tables))\n")
         head = "import sys\nimport fbmcontrol.cli as cli\nfrom fbmcontrol import fbm\n"
         assert _run_fresh(head + loaded) == ["[]"]
-        assert _run_fresh(head + kernel + loaded) == ["[]"]
+        assert _run_fresh(head + kernel + loaded) == ["1", "[]"]
         # the last two lines, after the commands' own reports
-        assert _run_fresh(head + run + loaded)[-2:] == ["[0, 0]", "[]"]
-        probe = head + "fbm.kernel_z(0.5, 0.25, 0.75)\nprint('scipy.integrate' in sys.modules)\n"
-        assert _run_fresh(probe) == ["True"]
+        assert _run_fresh(head + run + loaded)[-2:] == ["[0, 0, 0]", "[]"]
+
+    def test_no_source_file_imports_scipy(self):
+        # scipy is a test dependency only: no import of it at any depth
+        src = Path(fbm.__file__).resolve().parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                         else [])
+                found += [f"{path.name}:{node.lineno}" for n in names
+                          if n.split(".")[0] == "scipy"]
+        assert found == []
 
 
 def _row_writer_csv(ps) -> str:
