@@ -460,8 +460,10 @@ def kernel_z_closed(t, s, h) -> np.ndarray | float:
 
 KERNEL_ORDER = 4        # nodes of every product-quadrature rule
 KERNEL_BLOCK_ROWS = 16  # rows per unit of work when a table is built or grown
+TABLE_BLOCK_ROWS = 256  # rows per storage block of a unit-step table
 
-_unit_tables: dict[float, np.ndarray] = {}  # H -> unit-step table, rows 0..n
+# H -> the unit-step table, rows 0..n, as read-only blocks (``_grown_blocks``)
+_unit_tables: dict[float, tuple[np.ndarray, ...]] = {}
 _unit_tables_lock = threading.Lock()
 
 
@@ -570,94 +572,141 @@ def _interior_rows(rules: _CellRules, rows: np.ndarray, b0: int, b1: int,
     target[np.arange(2.0, cols + 2) >= ks] = 0.0
 
 
-def _unit_rows(rules: _CellRules, table: np.ndarray, k0: int) -> None:
-    """Fill rows k0 <= k < k1 of the unit-step table (k1, k1 - 1), in place.
+def _block_spans(k0: int, k1: int):
+    """(j, lo, hi) for each storage block j that holds rows of k0 <= k < k1:
+    the block's share of them is lo <= k < hi."""
+    B = TABLE_BLOCK_ROWS
+    for j in range(k0 // B, -(-k1 // B)):
+        lo, hi = max(k0, j * B), min(k1, (j + 1) * B)
+        if lo < hi:
+            yield j, lo, hi
+
+
+def _unit_rows(rules: _CellRules, blocks: list[np.ndarray], k0: int,
+               k1: int) -> None:
+    """Fill rows k0 <= k < k1 of the unit-step table in ``blocks``, in place.
 
     On the grid dt = 1, t_k = k, entry (k, i) is the average of Z_H(k, .)
-    over cell i; it depends only on (k, i, H).  Interior cells use
+    over cell i; it depends only on (k, i, H).  Row k is row k - jB of
+    block j = k // B (B = ``TABLE_BLOCK_ROWS``).  Interior cells use
     Gauss-Legendre; the first cell, the diagonal cell and the single cell of
     row 1 use Gauss-Jacobi rules that integrate the end-point power
     singularities in closed form.
 
-    The interior goes in blocks of ``KERNEL_BLOCK_ROWS`` rows, largest
-    first, to one worker per available CPU, and each worker reuses one
-    scratch buffer for all its blocks.  The series and power ufuncs release
-    the GIL, which is held only between numpy calls.
+    The interior goes in units of ``KERNEL_BLOCK_ROWS`` rows, clipped at the
+    storage blocks, largest first, to one worker per available CPU, and each
+    worker reuses one scratch buffer for all its units.  The series and
+    power ufuncs release the GIL, which is held only between numpy calls.
     """
     a = rules.H - 0.5
     R = rules.R
-    k1 = table.shape[0]
-    blocks = [(b0, min(b0 + KERNEL_BLOCK_ROWS, k1))
-              for b0 in range(max(k0, 3), k1, KERNEL_BLOCK_ROWS)][::-1]
-    if blocks:
+    B = TABLE_BLOCK_ROWS
+    units = [(j, b0, min(b0 + KERNEL_BLOCK_ROWS, hi))
+             for j, lo, hi in _block_spans(max(k0, 3), k1)
+             for b0 in range(lo, hi, KERNEL_BLOCK_ROWS)][::-1]
+    if units:
         s = (rules.interior[0][:, None] + 1) / 2 + np.arange(1.0, k1 - 2)
         most = max(KERNEL_ORDER * (b1 - b0) * (c1 - c0 + 1)
-                   for b0, b1 in blocks for c0, c1 in _interior_sides(b0, b1))
-        pending = iter(blocks)
+                   for _, b0, b1 in units for c0, c1 in _interior_sides(b0, b1))
+        pending = iter(units)
         take = threading.Lock()
 
         def work():
             scratch = np.empty((10, most))
             while True:
                 with take:
-                    block = next(pending, None)
-                if block is None:
+                    unit = next(pending, None)
+                if unit is None:
                     return
-                b0, b1 = block
-                _interior_rows(rules, table[b0:b1], b0, b1, s, scratch)
+                j, b0, b1 = unit
+                _interior_rows(rules, blocks[j][b0 - j * B:b1 - j * B], b0, b1,
+                               s, scratch)
 
-        threads = min(_kernel_threads(), len(blocks))
+        threads = min(_kernel_threads(), len(units))
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for done in [pool.submit(work) for _ in range(threads)]:
-                done.result()  # re-raises a failed block
+                done.result()  # re-raises a failed unit
 
     # the end-point cells come last: the interior zeroes every cell of a
-    # block from a row's diagonal on
+    # unit from a row's diagonal on
     if k0 <= 1 < k1:
         # k = 1: single cell with both end-point powers
         x1, w1 = rules.single
         s1 = (x1 + 1) / 2
         g1 = s1 ** a * (1 - s1) ** (-a) * R(1.0, s1) * (1 - s1) ** a
-        table[1, 0] = _fixed_sum(g1, w1) / 2
-    ks = np.arange(max(k0, 2), k1)
-    t = ks.astype(float)[:, None]
+        blocks[0][1, 0] = _fixed_sum(g1, w1) / 2
+    k2 = max(k0, 2)
+    t = np.arange(k2, k1, dtype=float)[:, None]
 
     # first cell: integrate the s^{-a} start-up factor exactly
     x0, w0 = rules.first
     s0 = ((x0 + 1) / 2)[None, :]
     g = s0 ** a * R(t, s0) * (t - s0) ** a
-    table[ks, 0] = 0.5 ** (1 - a) * _fixed_sum(g, w0)
+    first = 0.5 ** (1 - a) * _fixed_sum(g, w0)
 
     # diagonal cell: integrate the (t-s)^a factor exactly against smooth R
     xd, wd = rules.diagonal
-    sd = (ks - 1).astype(float)[:, None] + ((xd + 1) / 2)[None, :]
-    table[ks, ks - 1] = 0.5 ** (1 + a) * _fixed_sum(R(t, sd), wd)
+    sd = t - 1.0 + ((xd + 1) / 2)[None, :]
+    diagonal = 0.5 ** (1 + a) * _fixed_sum(R(t, sd), wd)
+    for j, lo, hi in _block_spans(k2, k1):
+        r = np.arange(lo - j * B, hi - j * B)
+        blocks[j][r, 0] = first[lo - k2:hi - k2]
+        blocks[j][r, r + j * B - 1] = diagonal[lo - k2:hi - k2]
 
 
 def _kernel_threads() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _unit_table(H: float, n_steps: int) -> np.ndarray:
-    """The unit-step table of H with at least rows 0..n_steps, grown on demand.
+def _grown_blocks(blocks: tuple[np.ndarray, ...], n_rows: int) -> list[np.ndarray]:
+    """``blocks`` extended to rows 0 <= k < n_rows, zero in every new row.
+
+    Block j holds rows jB <= k < (j + 1)B (B = ``TABLE_BLOCK_ROWS``; the
+    last block may hold fewer) and the columns i < (j + 1)B - 1 that they
+    reach, since W[k, i] = 0 for i >= k: at 2 048 steps 18.0 MiB of the
+    dense table's 32.0.  Full blocks are kept as they are; a partial last
+    block is reallocated and its rows copied.  A block's layout depends
+    only on j and its row count, never on the growth history.
+    """
+    B = TABLE_BLOCK_ROWS
+    grown = list(blocks)
+    partial = grown.pop() if grown and len(grown[-1]) < B else None
+    for k0 in range(len(grown) * B, n_rows, B):
+        grown.append(np.zeros((min(B, n_rows - k0), k0 + B - 1)))
+    if partial is not None:
+        grown[len(blocks) - 1][:len(partial)] = partial
+    return grown
+
+
+def _unit_table(H: float, n_steps: int) -> tuple[np.ndarray, ...]:
+    """The unit-step table of H with at least rows 0..n_steps, grown on
+    demand, as the read-only blocks of ``_grown_blocks``.
 
     Only rows the table does not hold yet are computed, by one
-    ``_unit_rows`` call under one lock, into the grown table.  Every row
+    ``_unit_rows`` call under one lock, into the grown blocks.  Every row
     depends only on (k, H), so the table is the same for any thread count,
-    block size and growth history.
+    unit size and growth history.
     """
     with _unit_tables_lock:
-        w = _unit_tables.get(H)
-        have = 0 if w is None else w.shape[0]
+        blocks = _unit_tables.get(H, ())
+        have = sum(map(len, blocks))
         if have > n_steps:
-            return w
-        grown = np.zeros((n_steps + 1, n_steps))
-        if w is not None:
-            grown[:have, :have - 1] = w
-        _unit_rows(_cell_rules(H), grown, have)
-        grown.setflags(write=False)
-        _unit_tables[H] = grown
+            return blocks
+        grown = _grown_blocks(blocks, n_steps + 1)
+        _unit_rows(_cell_rules(H), grown, have, n_steps + 1)
+        for block in grown:
+            block.setflags(write=False)
+        _unit_tables[H] = grown = tuple(grown)
         return grown
+
+
+def _table_rows(H: float, n: int):
+    """(k0, rows) for each storage block of H's table: rows[r] is row
+    k0 + r of the unit-step table, over the rows 0..n of a grid of n steps.
+    The pieces depend only on (n, ``TABLE_BLOCK_ROWS``)."""
+    blocks = _unit_table(H, n)
+    for j, lo, hi in _block_spans(0, n + 1):
+        yield lo, blocks[j][:hi - lo]
 
 
 def kernel_weights(grid: TimeGrid, h) -> np.ndarray:
@@ -667,12 +716,17 @@ def kernel_weights(grid: TimeGrid, h) -> np.ndarray:
     product quadratures that integrate the end-point power singularities in
     closed form (Gauss-Jacobi) and the smooth interior by Gauss-Legendre.
     Z_H is homogeneous of degree H - 1/2, so W is dt^{H-1/2} times the
-    top-left block of the unit-step table of H, which is kept per H and
-    grown by rows when a finer grid asks for them.  Read-only.
+    top-left (n+1) x n corner of the unit-step table of H, which is kept per
+    H and grown by rows when a finer grid asks for them.  A dense, read-only
+    copy, each entry one multiply of its table entry.
     """
     H = _hval(h)
     n = int(grid.n_steps)
-    W = grid.dt ** (H - 0.5) * _unit_table(H, n)[:n + 1, :n]
+    scale = grid.dt ** (H - 0.5)
+    W = np.zeros((n + 1, n))
+    for k0, rows in _table_rows(H, n):
+        cols = min(rows.shape[1], n)
+        np.multiply(rows[:, :cols], scale, out=W[k0:k0 + len(rows), :cols])
     W.setflags(write=False)
     return W
 
@@ -680,12 +734,15 @@ def kernel_weights(grid: TimeGrid, h) -> np.ndarray:
 def kernel_subdiagonal(grid: TimeGrid, h) -> np.ndarray:
     """The first subdiagonal W[k+1, k], k = 0..n-1, of ``kernel_weights``.
 
-    Scales only those n entries of the unit-step table, entry for entry the
-    same multiply as ``kernel_weights``, so the values are bitwise equal.
+    Reads those n entries of the unit-step table from its blocks and scales
+    them, entry for entry the same multiply as ``kernel_weights``, so the
+    values are bitwise equal; no dense copy is made.
     """
     H = _hval(h)
     n = int(grid.n_steps)
-    return grid.dt ** (H - 0.5) * np.diagonal(_unit_table(H, n), offset=-1)[:n]
+    sub = np.concatenate([np.diagonal(rows, offset=k0 - 1)
+                          for k0, rows in _table_rows(H, n)])
+    return grid.dt ** (H - 0.5) * sub
 
 
 def generate_bm(grid: TimeGrid, m: int, n_paths: int, seed: int,
@@ -718,21 +775,24 @@ def fbm_from_kernel(bm: PathSet, h) -> PathSet:
     """Attach the fractional path built from ``bm``'s own increments.
 
     B^H_j(t_k) = sum_{i<k} W[k, i] dB_j[i]; B and B^H stay jointly coherent.
-    W is ``kernel_weights``; the sum is formed on the unit-step table and
-    scaled after, so it agrees with W's products to rounding.
+    W is ``kernel_weights``; the sum is formed on the unit-step table's
+    blocks and scaled after, so it agrees with W's products to rounding.
     """
     hurst = h if isinstance(h, Hurst) else Hurst(float(h))
     if bm.dB is None:
         raise GridMismatchError("kernel generator needs a path set with increments")
     n = int(bm.grid.n_steps)
-    # contract against the held unit-step block, then scale the sums by
-    # dt^{H-1/2}: no scaled copy of the (n+1) x n weights per call.  One
-    # matmul writes straight into B^H, with no scratch of B^H's size; it is
-    # bitwise the einsum it replaced, while np.dot is not on the strided
-    # block of a table grown past n
+    # contract against the held unit-step blocks, then scale the sums by
+    # dt^{H-1/2}: no scaled copy of the weights per call.  One matmul per
+    # block, over the columns its last row reaches, writes straight into
+    # B^H; the pieces depend only on n, so the bits do not depend on how
+    # the table was grown
+    dB = bm.dB.reshape(-1, n)
     bh = np.empty((bm.n_paths, bm.m, n + 1))
-    np.matmul(bm.dB.reshape(-1, n), _unit_table(hurst.value, n)[:n + 1, :n].T,
-              out=bh.reshape(-1, n + 1))
+    out = bh.reshape(-1, n + 1)
+    for k0, rows in _table_rows(hurst.value, n):
+        K = k0 + len(rows) - 1
+        np.matmul(dB[:, :K], rows[:, :K].T, out=out[:, k0:k0 + len(rows)])
     bh *= bm.grid.dt ** (hurst.value - 0.5)
     bh[..., 0] = 0.0
     return bm.with_bh(hurst, bh)
@@ -762,6 +822,27 @@ def fbm_from_cholesky(grid: TimeGrid, h, m: int, n_paths: int, seed: int) -> Pat
     return PathSet(grid, m, n_paths, int(seed), hurst, None, bh)
 
 
+def _group_sums(dB: np.ndarray, factor: int) -> np.ndarray:
+    """Sums of ``factor`` consecutive increments, with the bits of
+    ``dB.reshape(..., factor).sum(-1)``.
+
+    Below 8 terms numpy runs an inner loop of ``factor`` adds per sum,
+    from 0 and in sequence; the same adds are made here on whole strided
+    slices.  Starting from the first term instead of 0 can change only the
+    sign of a zero sum, and the 0 added last puts it back.  From 8 terms
+    numpy's own loop is kept: its partial sums are interleaved, and slices
+    that far apart read a cache line per term.
+    """
+    groups = dB.reshape(*dB.shape[:-1], dB.shape[-1] // factor, factor)
+    if factor >= 8:
+        return groups.sum(-1)
+    out = groups[..., 0] + groups[..., 1]
+    for i in range(2, factor):
+        out += groups[..., i]
+    out += 0.0
+    return out
+
+
 def coarsen(paths: PathSet, factor: int) -> PathSet:
     """Subsample a path set to a coarser grid (same underlying noise).
 
@@ -776,7 +857,6 @@ def coarsen(paths: PathSet, factor: int) -> PathSet:
     if factor == 1:
         return paths
     grid = TimeGrid(paths.grid.horizon, paths.grid.n_steps // factor)
-    dB = paths.dB.reshape(paths.n_paths, paths.m, grid.n_steps, factor).sum(-1) \
-        if paths.dB is not None else None
+    dB = _group_sums(paths.dB, factor) if paths.dB is not None else None
     BH = paths.BH[..., ::factor] if paths.BH is not None else None
     return PathSet(grid, paths.m, paths.n_paths, paths.seed, paths.hurst, dB, BH)

@@ -169,24 +169,36 @@ class TransferReport:
     var_rhs: float
 
 
+def _transfer_sums(f: GridFunction, paths: PathSet) -> tuple[np.ndarray, np.ndarray]:
+    """Per path, the Riemann sum of f against dB^H and the Ito sum of
+    Gamma* f against dB (driver 0).
+
+    dB^H and its sum against f are formed ROW_CHUNK paths at a time, each
+    path's sum by a reduction along its own row, so its bits do not depend
+    on ROW_CHUNK; a matrix-vector product's would, with the row count.
+    """
+    if paths.BH is None or paths.dB is None:
+        raise GridMismatchError("transfer check needs coupled B and B^H")
+    if paths.grid != f.grid:
+        raise GridMismatchError("grid of f differs from the path grid")
+    lhs = np.empty(paths.n_paths)
+    for rows in _row_blocks(paths.n_paths):
+        terms = np.diff(paths.BH[rows, 0, :], axis=-1)
+        terms *= f.values[:-1]
+        terms.sum(axis=1, out=lhs[rows])
+    rhs = paths.dB[:, 0, :] @ gamma_star(f, paths.hurst).values[:-1]
+    return lhs, rhs
+
+
 def transfer_check(f: GridFunction, paths: PathSet) -> TransferReport:
     """Monte Carlo check of int f dB^H = int (Gamma* f) dB on coupled paths
     (driver 0).
 
     The left side is the pathwise (left-point) Riemann sum against B^H, the
     right the Ito sum against B from the same increments; reports their
-    sample correlation and variances.  dB^H and its sum against f are
-    formed ROW_CHUNK paths at a time.
+    sample correlation and variances.
     """
-    if paths.BH is None or paths.dB is None:
-        raise GridMismatchError("transfer check needs coupled B and B^H")
-    if paths.grid != f.grid:
-        raise GridMismatchError("grid of f differs from the path grid")
-    gf = gamma_star(f, paths.hurst)
-    lhs = np.empty(paths.n_paths)
-    for rows in _row_blocks(paths.n_paths):
-        lhs[rows] = np.diff(paths.BH[rows, 0, :], axis=-1) @ f.values[:-1]
-    rhs = paths.dB[:, 0, :] @ gf.values[:-1]
+    lhs, rhs = _transfer_sums(f, paths)
     if np.allclose(lhs, 0) and np.allclose(rhs, 0):
         corr = 1.0
     else:

@@ -6,6 +6,7 @@ import functools
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -335,23 +336,36 @@ class TestKernelGenerator:
             se = prod.std(ddof=1) / np.sqrt(ps.n_paths)
             assert abs(prod.mean() - c_true) < 4 * se + 0.02 * c_true
 
-    @pytest.mark.parametrize("grown", [False, True])
+    @pytest.mark.parametrize("n", [64, 513])
+    def test_bits_independent_of_table_history_threads_and_workers(
+            self, n, monkeypatch):
+        # the contraction's pieces depend only on (n, TABLE_BLOCK_ROWS): a
+        # table grown past n, or built on 1 or 2 threads in units of 1 or
+        # 16 rows, and paths drawn by 1 or 2 workers give the same B^H
+        monkeypatch.setattr(fbm, "_unit_tables", {})
+        grid = TimeGrid(1.0, n)
+        ref = fbm_from_kernel(generate_bm(grid, 2, 7, seed=17), 0.75).BH
+        for threads, rows, workers, grow_to in ((1, 16, 1, 4 * n), (2, 1, 2, n),
+                                                (2, 16, 2, 2 * n + 3)):
+            monkeypatch.setattr(fbm, "_unit_tables", {})
+            monkeypatch.setattr(fbm, "_kernel_threads", lambda: threads)
+            monkeypatch.setattr(fbm, "KERNEL_BLOCK_ROWS", rows)
+            fbm._unit_table(0.75, n // 3)
+            fbm._unit_table(0.75, grow_to)
+            bm = generate_bm(grid, 2, 7, seed=17, workers=workers)
+            assert np.array_equal(fbm_from_kernel(bm, 0.75).BH, ref)
+
+    @pytest.mark.parametrize("n", [64, 300, 513])
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("n_paths", [1, 7, 250])
-    def test_matches_einsum_reference_bitwise(self, n_paths, m, grown,
-                                              monkeypatch):
-        # grown: the table holds more rows than the grid, so its block is
-        # strided, where np.dot would move the bits at small path counts
-        monkeypatch.setattr(fbm, "_unit_tables", {})
-        n = 64
-        if grown:
-            fbm._unit_table(0.75, 4 * n)
+    def test_matches_dense_einsum(self, n_paths, m, n):
+        # the blocked contraction sums fewer terms in another order than
+        # the dense product: the same values to rounding
         bm = generate_bm(TimeGrid(1.0, n), m, n_paths, seed=17)
-        ref = np.einsum("ki,pdi->pdk", fbm._unit_table(0.75, n)[:n + 1, :n],
-                        bm.dB, optimize=True)
-        ref *= bm.grid.dt ** 0.25
-        ref[..., 0] = 0.0
-        assert np.array_equal(fbm_from_kernel(bm, 0.75).BH, ref)
+        ref = np.einsum("ki,pdi->pdk", kernel_weights(bm.grid, 0.75), bm.dB)
+        got = fbm_from_kernel(bm, 0.75).BH
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.all(got[..., 0] == 0.0)
 
     def test_requires_increments(self):
         grid = TimeGrid(1.0, 16)
@@ -393,8 +407,8 @@ class TestKernelTable:
         monkeypatch.setattr(fbm, "_unit_tables", {})
         computed = []
         unit_rows = fbm._unit_rows
-        monkeypatch.setattr(fbm, "_unit_rows", lambda rules, table, k0: (
-            computed.append(len(table) - k0), unit_rows(rules, table, k0))[1])
+        monkeypatch.setattr(fbm, "_unit_rows", lambda rules, blocks, k0, k1: (
+            computed.append(k1 - k0), unit_rows(rules, blocks, k0, k1))[1])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -408,6 +422,64 @@ class TestKernelTable:
         for n, W in zip(sizes, got):
             monkeypatch.setattr(fbm, "_unit_tables", {})
             assert np.array_equal(W, kernel_weights(TimeGrid(1.0, n), 0.7))
+
+    def test_blocks_hold_the_causal_part(self, monkeypatch):
+        # block j: rows jB <= k < (j+1)B and the (j+1)B - 1 columns they
+        # reach; every other entry of the dense W is zero
+        monkeypatch.setattr(fbm, "_unit_tables", {})
+        n, B = 600, fbm.TABLE_BLOCK_ROWS
+        blocks = fbm._unit_table(0.75, n)
+        assert [b.shape for b in blocks] == [
+            (B, B - 1), (B, 2 * B - 1), (n + 1 - 2 * B, 3 * B - 1)]
+        assert all(not b.flags.writeable for b in blocks)
+        W = kernel_weights(TimeGrid(float(n), n), 0.75)  # dt = 1: the table
+        assert np.array_equal(W, np.tril(W, -1))
+        for j, b in enumerate(blocks):
+            assert np.array_equal(b[:, :n], W[j * B:(j + 1) * B, :b.shape[1]])
+        assert not blocks[-1][:, n:].any()
+
+    @pytest.mark.parametrize("block_rows", [7, 601])
+    def test_entries_independent_of_storage_blocks(self, block_rows, monkeypatch):
+        # 601 rows: one block, with no edge to place a row across
+        grid = TimeGrid(1.0, 600)
+        monkeypatch.setattr(fbm, "_unit_tables", {})
+        W = kernel_weights(grid, 0.75)
+        monkeypatch.setattr(fbm, "_unit_tables", {})
+        monkeypatch.setattr(fbm, "TABLE_BLOCK_ROWS", block_rows)
+        assert np.array_equal(kernel_weights(grid, 0.75), W)
+        assert np.array_equal(kernel_subdiagonal(grid, 0.75), np.diagonal(W, -1))
+
+    def test_held_table_takes_the_causal_part(self, monkeypatch):
+        n = 2048
+        monkeypatch.setattr(fbm, "_unit_tables", {})
+        fbm._cell_rules(0.75)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fbm._unit_table(0.75, n)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 0.57 * (n + 1) * n * 8  # 18.0 of the dense 32.0 MiB
+
+    def test_growth_allocates_no_second_table(self, monkeypatch):
+        # 1 024 -> 2 048 steps: the full blocks are kept as they are, and
+        # what the growth allocates beyond the grown table's new blocks (the
+        # worker's scratch, one partial block) stays under a quarter of the
+        # dense table; a copy of the held table alone would be 8 MiB more
+        n = 2048
+        monkeypatch.setattr(fbm, "_unit_tables", {})
+        monkeypatch.setattr(fbm, "_kernel_threads", lambda: 1)
+        held = fbm._unit_table(0.75, n // 2)
+        tracemalloc.start()
+        try:
+            fbm._unit_table(0.75, n)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        grown = fbm._unit_table(0.75, n)
+        assert all(a is b for a, b in zip(grown, held[:-1]))
+        assert peak - after <= 0.25 * (n + 1) * n * 8
 
     @pytest.mark.parametrize("H", [0.6, 0.75, 0.9])
     def test_homogeneity_in_the_horizon(self, H):
@@ -736,6 +808,23 @@ class TestPathSetPlumbing:
         ref = np.zeros((c.n_paths, c.m, c.grid.n_nodes))
         np.cumsum(c.dB, axis=-1, out=ref[..., 1:])
         assert np.array_equal(c.B, ref)
+
+    @pytest.mark.parametrize("factor", [*range(1, 17), 256])
+    def test_coarsened_increments_are_numpys_sums_bitwise(self, factor):
+        # magnitudes 1e-8..1e8 make the order of the adds show; groups of
+        # zeros of either sign check the sign of a zero sum
+        gen = np.random.default_rng(factor)
+        shape = (2, 3, 5 * factor)
+        dB = gen.standard_normal(shape) * 10.0 ** gen.integers(-8, 9, shape)
+        dB[0, 0, :factor] = -0.0
+        dB[0, 1, :factor] = 0.0
+        dB[0, 1, :factor:2] = -0.0
+        ps = fbm.PathSet(TimeGrid(1.0, 5 * factor), 3, 2, 0, dB=dB)
+        got = coarsen(ps, factor).dB
+        want = dB.reshape(2, 3, 5, factor).sum(-1)
+        assert np.array_equal(got, want)
+        if factor > 1:  # factor 1 returns the paths as they are
+            assert got.tobytes() == want.tobytes()
 
     def test_coarsen_rejects_nondivisor(self, coupled_paths_256):
         with pytest.raises(GridMismatchError):

@@ -1,24 +1,34 @@
 """Property tests of the kernel table, the blocked step recursions and the
-node regression (need hypothesis)."""
+node regression, and how a failing property is reported (need hypothesis)."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from fbmcontrol import fbm  # noqa: E402
 from fbmcontrol.sde import ROW_CHUNK, TIME_BLOCK  # noqa: E402
 
 
+BLOCK_EDGES = [255, 256, 257, 511, 513, 1000]  # around TABLE_BLOCK_ROWS = 256
+
+
 @settings(max_examples=25, deadline=None)
-@given(sizes=st.lists(st.integers(1, 70), min_size=1, max_size=4),
+@given(sizes=st.lists(st.one_of(st.integers(1, 70), st.sampled_from(BLOCK_EDGES)),
+                      min_size=1, max_size=4),
        threads=st.integers(1, 2), block_rows=st.integers(1, 16),
        H=st.sampled_from([0.55, 0.75, 0.95]))
+@example(sizes=BLOCK_EDGES, threads=2, block_rows=16, H=0.75)
 def test_unit_table_is_bitwise_independent_of_growth_threads_and_blocks(
         sizes, threads, block_rows, H):
-    # grow the table through random sizes on 1-2 threads and 1-16 block
-    # rows; every stage equals the same rows of a direct default build
+    # grow the table through random sizes, across the storage blocks' edges,
+    # on 1-2 threads and in units of 1-16 rows; every stage equals the same
+    # rows of a direct default build, entry for entry
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fbm, "_unit_tables", {})
         reference = fbm._unit_table(H, max(sizes))
@@ -27,7 +37,8 @@ def test_unit_table_is_bitwise_independent_of_growth_threads_and_blocks(
         mp.setattr(fbm, "KERNEL_BLOCK_ROWS", block_rows)
         for n in sizes:
             table = fbm._unit_table(H, n)
-            assert np.array_equal(table[:n + 1, :n], reference[:n + 1, :n])
+            for j, lo, hi in fbm._block_spans(0, n + 1):
+                assert np.array_equal(table[j][:hi - lo], reference[j][:hi - lo])
 
 
 @settings(max_examples=40, deadline=None)
@@ -80,3 +91,32 @@ def test_blocked_recursions_match_step_recursions_bitwise(seed, m, n_paths,
     v = np.cos(t) + 0.1 * paths.B[:, m - 1]
     assert np.array_equal(variation_direct(lin, v, paths).X,
                           variation_reference(lin, v, paths))
+
+
+FAILING_PROPERTY = '''
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers(0, 10))
+def test_fails(x):
+    assert x < 5
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_a_failing_property_is_reported_under_the_suite_settings(tmp_path):
+    # hypothesis's failure report imports libcst; under the suite's
+    # warnings-as-errors a DeprecationWarning there once ended the session
+    # with INTERNALERROR and no summary
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    (tmp_path / "test_probe.py").write_text(FAILING_PROPERTY)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(config), "--rootdir", str(tmp_path), "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout

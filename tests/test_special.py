@@ -118,11 +118,11 @@ def _kernel_bits(H: float, n_steps: int) -> list[bytes]:
     built from nothing cached."""
     _clear_caches()
     rules = fbm._cell_rules(H)
-    table = np.zeros((n_steps + 1, n_steps))
-    fbm._unit_rows(rules, table, 0)
+    blocks = fbm._grown_blocks((), n_steps + 1)
+    fbm._unit_rows(rules, blocks, 0, n_steps + 1)
     R = rules.R
     arrays = [R.a, R.kH, R.h_over_k, *R.gauss, *R.conn, *rules.single,
-              *rules.first, *rules.diagonal, *rules.interior, table]
+              *rules.first, *rules.diagonal, *rules.interior, *blocks]
     return [np.asarray(a, dtype=float).tobytes() for a in arrays]
 
 

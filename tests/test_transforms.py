@@ -149,12 +149,18 @@ class TestTransferCheck:
     @pytest.mark.parametrize("fac", [1, 2])
     def test_row_blocks_match_whole_product_bitwise(self, coupled_paths_fine,
                                                     rows, fac, monkeypatch):
+        # every path's own sum, not only the summary: a matrix-vector
+        # product over 1 or 7 rows runs another BLAS kernel than over 3 000
+        # and moves single sums, which the variances may round away
         p = coarsen(coupled_paths_fine, fac)
         f = GridFunction.from_callable(p.grid, lambda t: np.sin(2 * np.pi * t) + t)
-        lhs = np.diff(p.BH[:, 0, :], axis=-1) @ f.values[:-1]
+        lhs = (np.diff(p.BH[:, 0, :], axis=-1) * f.values[:-1]).sum(axis=1)
         rhs = p.dB[:, 0, :] @ gamma_star(f, p.hurst).values[:-1]
         whole = TransferReport(float(np.corrcoef(lhs, rhs)[0, 1]),
                                float(lhs.var()), float(rhs.var()))
         monkeypatch.setattr(sde, "ROW_CHUNK", rows)
+        got_lhs, got_rhs = transforms._transfer_sums(f, p)
+        assert np.array_equal(got_lhs, lhs)
+        assert np.array_equal(got_rhs, rhs)
         assert transfer_check(f, p) == whole
 
