@@ -110,9 +110,14 @@ class NodeRegression:
     def fit(cls, X: np.ndarray) -> "NodeRegression":
         """Fit on the state columns of X, shape (n_paths, n_fit)."""
         center = X.mean(axis=0)
+        # the std holds one block of columns' deviations at a time; each
+        # column is summed over the paths in the whole array's order
+        std = np.empty(X.shape[1])
+        for k0, k1 in _step_blocks(X.shape[1]):
+            std[k0:k1] = X[:, k0:k1].std(axis=0)
         # exactly 0 where every path is in one state: the rounding in a
         # batched std must not turn a constant node into a regression
-        scale = np.where(np.ptp(X, axis=0) > 0, X.std(axis=0), 0.0)
+        scale = np.where(np.ptp(X, axis=0) > 0, std, 0.0)
         z = np.empty(X.shape)
         for rows in _row_blocks(X.shape[0]):
             z[rows] = _scaled(X[rows], center, scale)
@@ -182,8 +187,8 @@ class AdjointProblem:
     fx_fn: callable           # f_x(t, x, u)
     fu_fn: callable
     gx_T: np.ndarray          # g_x(X_T), (n_paths,)
+    fxx_fn: callable | None = None  # f_xx(t, x, u), read by the q formula
     gxx_T: np.ndarray | None = None
-    s2: np.ndarray | None = None  # q's payoff S2, when f_xx and g_xx are given
 
     @property
     def m(self) -> int:
@@ -197,8 +202,8 @@ class AdjointProblem:
 
     @property
     def pair(self) -> tuple:
-        """(Phi, Psi, S2): what a later problem on the same paths may take."""
-        return self.phi, self.psi, self.s2
+        """(Phi, Psi): what a later problem on the same paths may take."""
+        return self.phi, self.psi
 
     def sigma_x_deterministic(self) -> np.ndarray:
         """Per-node sigma_x values, (m, n_nodes).
@@ -229,35 +234,24 @@ def adjoint_problem(model: CoefficientModel, u: ControlProcess, x0: float,
     """Integrate the pair and package the adjoint inputs.
 
     ``fx_fn(t, x, u)`` etc. are running-cost partials; ``gx_fn(x)`` the
-    terminal-cost gradient.  With ``fxx_fn`` and ``gxx_fn`` the problem
-    carries q's payoff S2 = int f_xx Phi^2 ds + g_xx(X_T) Phi(T)^2.
+    terminal-cost gradient.  ``fxx_fn`` and ``gxx_fn`` are what the q
+    formula reads for its payoff S2 = int f_xx Phi^2 ds + g_xx(X_T) Phi(T)^2,
+    which it forms one block of paths at a time (S2 is never held whole).
     ``pair`` is an earlier problem's :attr:`AdjointProblem.pair` and is taken
-    as given: the caller guarantees the same paths, and b_x, sigma_x,
-    gamma_x, f_xx and g_xx that do not depend on the control, so that
-    (Phi, Psi, S2) are the ones this problem would build.
+    as given: the caller guarantees the same paths, and b_x, sigma_x and
+    gamma_x that do not depend on the control, so that (Phi, Psi) are the
+    ones this problem would build.
     """
     x = euler_mixed(model, u, x0, paths)
-    uv = u.materialize(x)
     lin = linearize(model, x, u)
-    gxx_T = np.full(x.n_paths, gxx_fn(x.X[:, -1]), dtype=float) \
-        if gxx_fn is not None else None
-    if pair is not None:
-        phi, psi, s2 = pair
-    else:
-        phi = fundamental_phi(lin, paths)
-        psi = fundamental_psi(lin, paths)
-        s2 = None
-        if fxx_fn is not None and gxx_T is not None:
-            fxx = evaluate_along([fxx_fn], paths.grid.nodes, x.X, uv)[0]
-            s2 = np.empty(phi.X.shape)
-            for rows in _row_blocks(x.n_paths):
-                ph = phi.X[rows]
-                s2[rows] = _tail_trapezoid(fxx[rows] * ph ** 2, paths.grid.dt) \
-                    + (gxx_T[rows] * ph[:, -1] ** 2)[:, None]
+    phi, psi = pair if pair is not None else (fundamental_phi(lin, paths),
+                                              fundamental_psi(lin, paths))
     return AdjointProblem(
-        paths=paths, x=x, u=uv, lin=lin, phi=phi, psi=psi, model=model,
-        fx_fn=fx_fn, fu_fn=fu_fn,
-        gx_T=np.asarray(gx_fn(x.X[:, -1]), dtype=float), gxx_T=gxx_T, s2=s2)
+        paths=paths, x=x, u=u.materialize(x), lin=lin, phi=phi, psi=psi,
+        model=model, fx_fn=fx_fn, fu_fn=fu_fn,
+        gx_T=np.asarray(gx_fn(x.X[:, -1]), dtype=float), fxx_fn=fxx_fn,
+        gxx_T=np.full(x.n_paths, gxx_fn(x.X[:, -1]), dtype=float)
+        if gxx_fn is not None else None)
 
 
 def _tail_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
@@ -350,16 +344,23 @@ def estimate_q_formula(prob: AdjointProblem, est: AdjointEstimate) -> AdjointEst
         S2 = int_t^T f_xx Phi^2 ds + g_xx(X_T) Phi(T)^2,
 
     estimated with the same node regressions as p, all m drivers in one call.
+    S2 is formed one block of paths at a time, just before that block's
+    targets, so it is never held whole.
     """
-    if prob.s2 is None:
+    if prob.fxx_fn is None or prob.gxx_T is None:
         raise UnsupportedModelError("q formula needs f_xx and g_xx along the pair")
     prob.sigma_x_deterministic()  # raises unless the model is linear in state
     reg = est.regression
-    sigma, psi, s2 = prob.along(prob.model.sigma), prob.psi.X, prob.s2
+    dt = prob.paths.grid.dt
+    sigma, fxx = prob.along(prob.model.sigma), prob.along([prob.fxx_fn])[0]
+    phi, psi, gxx_T = prob.phi.X, prob.psi.X, prob.gxx_T
     q_raw = np.empty(sigma.shape)
     for rows in _row_blocks(len(psi)):
-        q_raw[:, rows] = psi[rows] ** 2 * sigma[:, rows] * s2[rows]
-    del sigma  # released before q is made
+        ph = phi[rows]
+        s2 = _tail_trapezoid(fxx[rows] * ph ** 2, dt) \
+            + (gxx_T[rows] * ph[:, -1] ** 2)[:, None]
+        q_raw[:, rows] = psi[rows] ** 2 * sigma[:, rows] * s2
+    del sigma, fxx  # released before q is made
     coeffs = reg.coeffs(q_raw[..., :-1])
     q = np.empty_like(q_raw)
     for rows in _row_blocks(len(psi)):

@@ -224,8 +224,9 @@ class AndersonMixer:
         gamma = self.coefficients(f)
         nxt = x.copy()
         if gamma is not None:
-            for g, d in zip(gamma, self.dx):
-                nxt -= g * d
+            for rows in _row_blocks(len(nxt)):  # no whole g * d
+                for g, d in zip(gamma, self.dx):
+                    nxt[rows] -= g * d[rows]
         if len(self.df) == ANDERSON_DEPTH:
             del self.dx[0], self.df[0]
         self.last = (x, f)
@@ -255,8 +256,12 @@ class LqSolution:
 
 
 def _mean_l2(du: np.ndarray, dt: float) -> float:
-    """sqrt of E sum_k du_k^2 dt over the acting nodes (the control L2 norm)."""
-    return float(np.sqrt((du[:, :-1] ** 2).sum(axis=1).mean() * dt))
+    """sqrt of E sum_k du_k^2 dt over the acting nodes (the control L2 norm);
+    the per-path sums are formed ROW_CHUNK paths at a time."""
+    sums = np.empty(len(du))
+    for rows in _row_blocks(len(du)):
+        sums[rows] = (du[rows, :-1] ** 2).sum(axis=1)
+    return float(np.sqrt(sums.mean() * dt))
 
 
 def lq_picard_solve(spec: LqSpec, paths: PathSet,
@@ -264,14 +269,20 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
     """Fixed-point iteration on u = -R^{-1}(A~ p + M~ q), q of driver m - 1.
 
     Each sweep simulates the state under the current control, re-estimates
-    (p, q) from the explicit representations, and moves the control to the
-    Anderson mixing of the damped steps theta toward the first-order-
-    condition target (see :class:`AndersonMixer`).  The iteration stops
-    once the damped step's mean-L2 size is below tol, or after max_iter
-    steps; one more sweep then gives (p, q) and J at the returned control.
-    Non-convergence is returned as a flagged solution, never silently.  The LQ partials depend
-    on time only, so (Phi, Psi) and S2 are built in the first sweep and
-    every later sweep takes them as its ``pair``.
+    the adjoint pair from the explicit representations, and moves the
+    control to the Anderson mixing of the damped steps theta toward the
+    first-order-condition target (see :class:`AndersonMixer`).  The
+    iteration stops once the damped step's mean-L2 size is below tol, or
+    after max_iter steps; one more sweep then gives (p, q) and J at the
+    returned control.  Non-convergence is returned as a flagged solution,
+    never silently.
+
+    A sweep estimates only what its next control reads: q only when M~ is
+    nonzero at some node, since otherwise the target is -A~ p / R; the last
+    sweep estimates q for every driver.  The Anderson history is released
+    before the last sweep, which takes no step.  The LQ partials depend on
+    time only, so (Phi, Psi) are built in the first sweep and every later
+    sweep takes them as its ``pair``.
     """
     options = options or PicardOptions()
     spec.validate_on(paths.grid)
@@ -279,6 +290,7 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
     f = spec.fns()
     r_nodes, at_nodes, mt_nodes = (_node_values(f[name], paths.grid.nodes)
                                    for name in ("R", "A_tilde", "M_tilde"))
+    q_steers = bool(np.any(mt_nodes))
 
     u = ControlProcess.from_values(
         np.full((paths.n_paths, paths.grid.n_nodes), float(options.u0)))
@@ -287,19 +299,28 @@ def lq_picard_solve(spec: LqSpec, paths: PathSet,
     pair = None
     mixer = AndersonMixer(options.theta)
     for it in range(options.max_iter + 1):
+        last = converged or it == options.max_iter
+        if last:
+            mixer = None  # the returned control takes no step
         prob = lq_adjoint_problem(spec, model, u, paths, pair)
-        est = estimate_q_formula(prob, estimate_p(prob))
+        est = estimate_p(prob)
+        if q_steers or last:
+            est = estimate_q_formula(prob, est)
         pair = pair or prob.pair
         cost = lq_cost(spec, u, paths, prob.x)
-        if converged or it == options.max_iter:
+        if last:
             break  # the estimates are at the returned control
         # the sweep's arrays, but p and q, go before the residual's and the
         # next sweep's are built
-        p, q = est.p, est.q[paths.m - 1]
+        p = est.p
+        q = est.q[paths.m - 1] if q_steers else None
         prob = est = None
         resid = np.empty(u.values.shape)  # target - u, by blocks of paths
         for rows in _row_blocks(paths.n_paths):
-            resid[rows] = -(at_nodes * p[rows] + mt_nodes * q[rows]) / r_nodes
+            steer = at_nodes * p[rows]
+            if q is not None:
+                steer += mt_nodes * q[rows]
+            resid[rows] = -steer / r_nodes
             resid[rows] -= u.values[rows]
         del p, q
         change = options.theta * _mean_l2(resid, paths.grid.dt)

@@ -71,6 +71,16 @@ class TestNodeRegression:
         with pytest.raises(RegressionError):
             NodeRegression.fit(X).coeffs(y)
 
+    @pytest.mark.parametrize("width", [2, 5, 64])
+    def test_scale_by_column_blocks_matches_whole_std_bitwise(
+            self, coupled_paths_256, width, monkeypatch):
+        # 256 columns: blocks of 2, of 5 with a folded 1-column tail, of 64;
+        # node 0 (t = 0) has every path in one state
+        X = coupled_paths_256.B[:, 0, :-1]
+        monkeypatch.setattr(sde, "TIME_BLOCK", width)
+        want = np.where(np.ptp(X, axis=0) > 0, X.std(axis=0), 0.0)
+        assert np.array_equal(NodeRegression.fit(X).scale, want)
+
     def test_holds_no_design_array(self, coupled_paths_256):
         X = coupled_paths_256.B[:, 0, :-1]
         reg = NodeRegression.fit(X)
@@ -268,7 +278,6 @@ class TestQEstimation:
         prob = adjoint_problem(trivial_model(), ControlProcess.constant(0.0),
                                1.0, coupled_paths_256, fx_fn=zero, fu_fn=zero,
                                gx_fn=lambda x: x, **given)
-        assert prob.s2 is None
         with pytest.raises(UnsupportedModelError, match="f_xx and g_xx"):
             estimate_q_formula(prob, estimate_p(prob))
 
@@ -283,7 +292,7 @@ class TestQEstimation:
 
 
 class TestPair:
-    """(Phi, Psi, S2) of one control serve another when nothing in them moves."""
+    """(Phi, Psi) of one control serve another when nothing in them moves."""
 
     def test_pair_equals_fresh_at_nonzero_control(self, coupled_paths_256):
         paths = coupled_paths_256
@@ -302,9 +311,10 @@ class TestPair:
         assert all(a is b for a, b in zip(reused.pair, pair))
         assert np.array_equal(reused.phi.X, fresh.phi.X)
         assert np.array_equal(reused.psi.X, fresh.psi.X)
-        assert np.array_equal(reused.s2, fresh.s2)
         est_r = estimate_q_formula(reused, estimate_p(reused))
         est_f = estimate_q_formula(fresh, estimate_p(fresh))
+        # q's payoff S2 is formed from the pair: the raw targets agree too
+        assert np.array_equal(est_r.q_raw, est_f.q_raw)
         assert np.array_equal(est_r.p, est_f.p) and np.array_equal(est_r.q, est_f.q)
 
 

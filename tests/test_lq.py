@@ -1,5 +1,6 @@
 """LQ solver end to end: cost, Riccati oracle, Picard fixed point, optimality."""
 
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ from scipy.integrate import quad
 from fbmcontrol import adjoint, lq, sde
 from fbmcontrol.adjoint import (bsde_residual, estimate_p, estimate_q_formula,
                                 stationarity_residual)
+from fbmcontrol.cli import COEF_CATALOG
 from fbmcontrol.errors import DomainError, UnsupportedModelError
 from fbmcontrol.fbm import TimeGrid, fbm_from_kernel, generate_bm
 from fbmcontrol.lq import (ANDERSON_DEPTH, RICCATI_STEPS, AndersonMixer,
@@ -17,8 +19,9 @@ from fbmcontrol.lq import (ANDERSON_DEPTH, RICCATI_STEPS, AndersonMixer,
                            lq_adjoint_problem, lq_cost, lq_model,
                            lq_picard_solve, optimality_sweep,
                            random_adapted_directions, riccati_oracle)
-from fbmcontrol.sde import ControlProcess, euler_mixed, linearize
-from fbmcontrol.verify import riccati_agreement, stationarity
+from fbmcontrol.sde import ControlProcess, Linearization, euler_mixed, linearize
+from fbmcontrol.verify import (_lq_linearization, riccati_agreement,
+                               stationarity)
 
 N_PATHS = 6000
 N_STEPS = 128
@@ -110,6 +113,26 @@ class TestLqModel:
                     assert np.all(val != 0.0)
                 else:
                     assert val.shape == t.shape and np.all(val == 0.0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("control", ["zero", "random"])
+    def test_linearization_needs_no_state(self, small_paths, m, control):
+        # the refinement checks linearize on a zero state with no Euler run
+        spec = LqSpec(A=lambda t: -1.0 + 0.5 * t, A_tilde=0.0,
+                      M=lambda t: 0.2 + 0.1 * np.sin(3 * t), M_tilde=0.3,
+                      N=lambda t: 0.3 - 0.1 * t)
+        paths = small_paths[m]
+        model = lq_model(spec, m)
+        u = ControlProcess.constant(0.0) if control == "zero" else \
+            ControlProcess.from_values(np.random.default_rng(4).standard_normal(
+                (paths.n_paths, paths.grid.n_nodes)))
+        want = linearize(model, euler_mixed(model, u, spec.x0, paths), u)
+        got = _lq_linearization(model, paths)
+        for field in dataclasses.fields(Linearization):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.ascontiguousarray(a).tobytes() == \
+                np.ascontiguousarray(b).tobytes(), field.name
 
 
 class TestLqCost:
@@ -253,10 +276,40 @@ class TestPicardSolve:
         assert sol.converged and len(sol.iterations) > 2
         assert calls == {"fundamental_phi": 1, "fundamental_psi": 1}
 
-    @pytest.mark.parametrize("max_iter", [50, 2])
+    @pytest.mark.parametrize("m_tilde,nonzero_nodes", [
+        (0.0, 0), ("catalog_zero", 0), (0.3, 33), ("one_node", 1)])
+    def test_q_estimated_only_where_it_moves_the_control(
+            self, small_paths, monkeypatch, m_tilde, nonzero_nodes):
+        paths = small_paths[1]
+        if m_tilde == "catalog_zero":  # a sin coefficient, 0 at every node
+            m_tilde = COEF_CATALOG["sin"][1]({"a": 0.0, "b": 0.0,
+                                              "omega": 2.0, "phase": 0.5})
+        elif m_tilde == "one_node":
+            t_k = paths.grid.nodes[paths.grid.n_steps // 2]
+            m_tilde = lambda t: np.where(t == t_k, 0.3, 0.0)
+        spec = LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=m_tilde, N=0.3)
+        mt = lq._node_values(spec.fns()["M_tilde"], paths.grid.nodes)
+        assert np.count_nonzero(mt) == nonzero_nodes
+        calls = []
+
+        def counted(*args, _fn=lq.estimate_q_formula):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(lq, "estimate_q_formula", counted)
+        sol = lq_picard_solve(spec, paths, PicardOptions(tol=1e-6))
+        assert sol.converged and len(sol.iterations) > 2
+        # one sweep per logged step, plus the sweep at the returned control
+        sweeps = len(sol.iterations) + 1
+        assert len(calls) == (sweeps if nonzero_nodes else 1)
+        assert calls[-1][1] is sol.estimate and sol.estimate.q is not None
+
+    @pytest.mark.parametrize("max_iter,m_tilde", [(50, 0.3), (2, 0.3),
+                                                  (50, 0.0), (2, 0.0)],
+                             ids=["50", "2", "50-M_tilde_0", "2-M_tilde_0"])
     def test_returned_estimates_are_at_the_returned_control(self, small_paths,
-                                                             max_iter):
-        spec = LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3)
+                                                             max_iter, m_tilde):
+        spec = LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=m_tilde, N=0.3)
         paths = small_paths[1]
         sol = lq_picard_solve(spec, paths,
                               PicardOptions(tol=1e-6, max_iter=max_iter))
@@ -266,6 +319,12 @@ class TestPicardSolve:
         x = euler_mixed(lq_model(spec, paths.m), sol.u, spec.x0, paths)
         assert np.array_equal(sol.problem.x.X, x.X)
         assert sol.J == lq_cost(spec, sol.u, paths).J
+        # p and q for every driver, as a fresh estimate there gives them
+        prob = lq_adjoint_problem(spec, lq_model(spec, paths.m), sol.u, paths)
+        est = estimate_q_formula(prob, estimate_p(prob))
+        for name in ("p", "p_raw", "q", "q_raw"):
+            assert np.array_equal(getattr(sol.estimate, name),
+                                  getattr(est, name))
 
     def test_perturbed_control_detected(self, paths, solved_mixed):
         # 20% perturbation: residual exceeds 5 stderr somewhere
@@ -365,6 +424,26 @@ class TestAndersonMixing:
             held = len(mixer.dx) + len(mixer.df) + 2 * (mixer.last is not None)
             assert held <= 2 * ANDERSON_DEPTH
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_row_blocks_match_whole_arrays_bitwise(self, chunk, monkeypatch):
+        # the mixed step and the control norm, ROW_CHUNK paths at a time
+        # against whole arrays (one block of every path)
+        rng = np.random.default_rng(12)
+        us, fs = rng.standard_normal((2, 5, 150, 9))
+
+        def steps():
+            mixer = AndersonMixer(0.5)
+            return [mixer.step(u, f.copy()) for u, f in zip(us, fs)]
+
+        monkeypatch.setattr(sde, "ROW_CHUNK", 10 ** 6)
+        want = steps()
+        assert not np.array_equal(want[-1], us[-1] + 0.5 * fs[-1])  # mixed
+        monkeypatch.setattr(sde, "ROW_CHUNK", chunk)
+        assert all(np.array_equal(a, b) for a, b in zip(steps(), want))
+        assert [lq._mean_l2(f, 0.01) for f in fs] == \
+            [float(np.sqrt((f[:, :-1] ** 2).sum(axis=1).mean() * 0.01))
+             for f in fs]
+
     def test_no_actuation_from_nonzero_start(self, paths):
         # target is 0 for every control: the second sweep's Anderson step
         # lands on it, the third sees two parallel differences of f
@@ -387,7 +466,8 @@ def small_paths():
             N=lambda t: 0.3 - 0.1 * t, Q=lambda t: 1.0 + t,
             R=lambda t: 1.0 + 0.5 * np.cos(t)), 1),
     (LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3), 2),
-], ids=["mixed_M_tilde", "sin_affine", "independent_bm"])
+    (LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.0, N=0.3), 2),
+], ids=["mixed_M_tilde", "sin_affine", "independent_bm", "no_q_steering"])
 def test_anderson_reaches_the_damped_fixed_point(small_paths, spec, m):
     paths = small_paths[m]
     u, p, q, J = damped_fixed_point(spec, paths)
@@ -461,7 +541,8 @@ def brute_force_sweep(spec, u_star, directions, eps_list, paths):
             M_tilde=0.1, N=0.3, Q=lambda t: 1.0 + t,
             R=lambda t: 1.0 + 0.5 * np.sin(2 * t + 0.3), G=0.7), 1),
     (LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.3, N=0.3), 2),
-], ids=["mixed_M_tilde", "sin_affine", "independent_bm"])
+    (LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=0.0, N=0.3), 2),
+], ids=["mixed_M_tilde", "sin_affine", "independent_bm", "no_q_steering"])
 def test_sweep_matches_brute_force_euler(small_paths, spec, m):
     paths = small_paths[m]
     # an adapted, non-optimal u*, so that no column is near zero
@@ -584,45 +665,65 @@ class TestWorkingMemory:
     @pytest.fixture(scope="class")
     def blocks_case(self):
         """200 paths (no multiple of 7 or 64) on 130 steps (blocks of 64, 64
-        and a folded 2), time-varying coefficients, M~ != 0 so q steers."""
-        spec = LqSpec(A=lambda t: -1.0 + 0.5 * t, A_tilde=1.0,
-                      M=lambda t: 0.2 + 0.1 * np.sin(3 * t), M_tilde=0.3,
-                      N=0.3, Q=lambda t: 1.0 + t,
-                      R=lambda t: 1.0 + 0.5 * np.cos(t))
+        and a folded 2), time-varying coefficients; M~ 0.3, so q steers
+        every sweep, and M~ 0, so q is estimated at the returned control
+        alone."""
         cases = {}
-        for m in (1, 2):
-            paths = fbm_from_kernel(generate_bm(TimeGrid(1.0, 130), m, 200,
-                                                seed=31), 0.75)
-            with pytest.MonkeyPatch.context() as mp:  # whole arrays
-                mp.setattr(sde, "ROW_CHUNK", 10 ** 6)
-                mp.setattr(sde, "TIME_BLOCK", 10 ** 6)
-                cases[m] = spec, paths, self.solve_outputs(spec, paths)
+        for m_tilde in (0.0, 0.3):
+            spec = LqSpec(A=lambda t: -1.0 + 0.5 * t, A_tilde=1.0,
+                          M=lambda t: 0.2 + 0.1 * np.sin(3 * t),
+                          M_tilde=m_tilde, N=0.3, Q=lambda t: 1.0 + t,
+                          R=lambda t: 1.0 + 0.5 * np.cos(t))
+            for m in (1, 2):
+                paths = fbm_from_kernel(generate_bm(TimeGrid(1.0, 130), m,
+                                                    200, seed=31), 0.75)
+                with pytest.MonkeyPatch.context() as mp:  # whole arrays
+                    mp.setattr(sde, "ROW_CHUNK", 10 ** 6)
+                    mp.setattr(sde, "TIME_BLOCK", 10 ** 6)
+                    cases[m, m_tilde] = (spec, paths,
+                                         self.solve_outputs(spec, paths))
         return cases
 
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("m,m_tilde", [(1, 0.3), (2, 0.3), (1, 0.0),
+                                           (2, 0.0)],
+                             ids=["1", "2", "1-M_tilde_0", "2-M_tilde_0"])
     @pytest.mark.parametrize("name,size", [
         ("ROW_CHUNK", 1), ("ROW_CHUNK", 7), ("ROW_CHUNK", 64),
         ("ROW_CHUNK", 1000), ("TIME_BLOCK", 2), ("TIME_BLOCK", 5)])
-    def test_blocks_match_whole_arrays_bitwise(self, blocks_case, m, name,
-                                               size, monkeypatch):
-        spec, paths, want = blocks_case[m]
+    def test_blocks_match_whole_arrays_bitwise(self, blocks_case, m, m_tilde,
+                                               name, size, monkeypatch):
+        spec, paths, want = blocks_case[m, m_tilde]
         monkeypatch.setattr(sde, name, size)
         got = self.solve_outputs(spec, paths)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
-    def test_solve_holds_fourteen_and_a_half_path_arrays(self):
-        # measured 14.3: the Picard history (4), u, Phi, Psi, S2, the state
-        # and the estimate's p, p_raw, z, q and q_raw, plus row blocks;
-        # storing one more per-path field in the problem or the estimate
-        # breaks the bound (the previous design measured 21.1)
+    @staticmethod
+    def traced_peak(m_tilde):
+        """The traced peak of a 1 000 x 64 solve in path arrays: one Euler
+        block spans the whole grid."""
         paths = fbm_from_kernel(generate_bm(TimeGrid(1.0, 64), 1, 1000,
                                             seed=202), 0.75)
-        path_array = paths.n_paths * paths.grid.n_nodes * 8
+        spec = LqSpec(A=-1.0, A_tilde=1.0, M=0.2, M_tilde=m_tilde, N=0.3)
         tracemalloc.start()
         try:
-            sol = lq_picard_solve(mixed_spec(), paths, PicardOptions(tol=1e-5))
+            sol = lq_picard_solve(spec, paths, PicardOptions(tol=1e-5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert sol.converged and len(sol.iterations) > ANDERSON_DEPTH
-        assert peak <= 14.5 * path_array
+        return peak / (paths.n_paths * paths.grid.n_nodes * 8)
+
+    def test_solve_holds_twelve_and_a_half_path_arrays(self):
+        # measured 12.1, in the Euler run of a sweep with a full history:
+        # u, Phi, Psi and the Picard history (4) are held while the run's
+        # one time block copies its increments, control and states.  With
+        # M~ = 0 only the last sweep estimates q, S2 is formed by row
+        # blocks, and the history goes before the last sweep; estimating q
+        # every sweep, or keeping the history through the last, breaks the
+        # bound (the previous design measured 14.3)
+        assert self.traced_peak(0.0) <= 12.5
+
+    def test_q_steering_solve_holds_under_fourteen_path_arrays(self):
+        # measured 13.5, in estimate_q_formula: q and q_raw of every sweep
+        # on top of the arrays above
+        assert self.traced_peak(0.3) <= 13.8
